@@ -309,12 +309,14 @@ bool AnalyzerPool::restore_state(std::span<const std::uint8_t> in) {
     worker->detector = std::make_unique<AnomalyDetector>(model_, config_);
     worker->detector->next_window_to_close_ = scratch.next_window_to_close_;
   }
+  // Both sides run over model_, so the tallies' signature ids carry over.
   for (auto& [index, window] : scratch.open_windows_) {
-    for (auto& [key, stats] : window) {
-      AnomalyDetector& detector =
-          *workers_[partition(key.first, key.second, workers_.size())]
-               ->detector;
-      detector.open_windows_[index][key] = std::move(stats);
+    for (std::uint32_t k = 0; k < window.size(); ++k) {
+      if (!window[k].open) continue;
+      const auto& key = scratch.keys_[k];
+      workers_[partition(key.host, key.stage, workers_.size())]
+          ->detector->adopt(index, key.host, key.stage,
+                            std::move(window[k]));
     }
   }
   return true;
@@ -349,6 +351,14 @@ std::vector<Anomaly> AnalyzerPool::close_windows(UsTime now, bool close_all) {
     std::unique_lock lock(done_mu_);
     done_cv_.wait(lock, [&] { return outstanding_ == 0; });
   }
+
+  // A worker's close cursor only passes the windows it held, so it can trail
+  // the serial cursor; give every worker the furthest one, or a late synopsis
+  // would land in a window the serial detector already closed.
+  std::size_t cursor = 0;
+  for (const auto& worker : workers_)
+    cursor = std::max(cursor, worker->detector->next_window_to_close_);
+  for (auto& worker : workers_) worker->detector->next_window_to_close_ = cursor;
 
   std::vector<Anomaly> out;
   std::size_t total = 0;

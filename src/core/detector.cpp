@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <tuple>
 #include <utility>
 
 #include "core/telemetry.h"
@@ -16,6 +17,8 @@ namespace {
 
 struct DetectorMetrics {
   obs::Counter& synopses;
+  obs::Counter& late_reattributed;
+  obs::Counter& unknown_stage;
   obs::Counter& windows_closed;
   obs::Counter& flow_anomalies;
   obs::Counter& perf_anomalies;
@@ -27,6 +30,14 @@ struct DetectorMetrics {
       : synopses(obs::MetricsRegistry::global().counter(
             "saad_detector_synopses_total",
             "Synopses classified and bucketed into windows.")),
+        late_reattributed(obs::MetricsRegistry::global().counter(
+            "saad_detector_late_reattributed_total",
+            "Synopses whose start window had already closed, counted in the "
+            "oldest open window instead.")),
+        unknown_stage(obs::MetricsRegistry::global().counter(
+            "saad_detector_unknown_stage_total",
+            "Synopses of a stage the model has never seen (each is a new "
+            "flow).")),
         windows_closed(obs::MetricsRegistry::global().counter(
             "saad_detector_windows_closed_total",
             "Detection windows closed (summed across pool workers).")),
@@ -55,6 +66,17 @@ struct DetectorMetrics {
   }
 };
 
+std::uint32_t mix_key(HostId host, StageId stage) {
+  // MurmurHash3's 32-bit finalizer over the packed key.
+  std::uint32_t h = (static_cast<std::uint32_t>(host) << 16) | stage;
+  h ^= h >> 16;
+  h *= 0x85EBCA6Bu;
+  h ^= h >> 13;
+  h *= 0xC2B2AE35u;
+  h ^= h >> 16;
+  return h;
+}
+
 }  // namespace
 
 void detail::register_detector_metrics() { DetectorMetrics::get(); }
@@ -66,43 +88,127 @@ AnomalyDetector::AnomalyDetector(const OutlierModel* model,
   assert(config_.window > 0);
 }
 
+std::uint32_t AnomalyDetector::key_index(HostId host, StageId stage) {
+  if (!key_slots_.empty()) {
+    const std::size_t mask = key_slots_.size() - 1;
+    for (std::size_t i = mix_key(host, stage) & mask; key_slots_[i] != 0;
+         i = (i + 1) & mask) {
+      const Key& key = keys_[key_slots_[i] - 1];
+      if (key.host == host && key.stage == stage) return key_slots_[i] - 1;
+    }
+  }
+  // First sighting: number the key, keep the (host, stage) order, and index
+  // it, rebuilding the index when it passes half load.
+  const auto index = static_cast<std::uint32_t>(keys_.size());
+  keys_.push_back({host, stage, model_->stage_model(stage)});
+  key_order_.insert(
+      std::upper_bound(key_order_.begin(), key_order_.end(), index,
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return std::tie(keys_[a].host, keys_[a].stage) <
+                                std::tie(keys_[b].host, keys_[b].stage);
+                       }),
+      index);
+  const auto insert = [this](std::uint32_t k) {
+    const std::size_t mask = key_slots_.size() - 1;
+    std::size_t i = mix_key(keys_[k].host, keys_[k].stage) & mask;
+    while (key_slots_[i] != 0) i = (i + 1) & mask;
+    key_slots_[i] = k + 1;
+  };
+  if (2 * keys_.size() > key_slots_.size()) {
+    key_slots_.assign(std::max<std::size_t>(16, 2 * key_slots_.size()), 0);
+    for (std::uint32_t k = 0; k < keys_.size(); ++k) insert(k);
+  } else {
+    insert(index);
+  }
+  return index;
+}
+
+AnomalyDetector::StageWindowStats& AnomalyDetector::slot(std::size_t window,
+                                                         std::uint32_t key) {
+  if (last_window_ == nullptr || last_window_index_ != window) {
+    last_window_index_ = window;
+    last_window_ = &open_windows_[window];
+  }
+  Window& slots = *last_window_;
+  if (key >= slots.size()) slots.resize(keys_.size());
+  StageWindowStats& stats = slots[key];
+  stats.open = true;
+  return stats;
+}
+
+const Signature& AnomalyDetector::example_of(const StageWindowStats& stats,
+                                             const StageModel* model) {
+  return stats.example_id != kNoSignature
+             ? model->signatures[stats.example_id].first
+             : stats.example;
+}
+
+AnomalyDetector::SigWindowStats& AnomalyDetector::tally(
+    StageWindowStats& stats, SignatureId id, const Signature& value) {
+  if (id != kNoSignature) {
+    auto it = std::lower_bound(
+        stats.known.begin(), stats.known.end(), id,
+        [](const KnownTally& t, SignatureId v) { return t.id < v; });
+    if (it == stats.known.end() || it->id != id)
+      it = stats.known.insert(it, KnownTally{id, {}});
+    return it->stats;
+  }
+  for (auto& [signature, t] : stats.unseen)
+    if (signature == value) return t;
+  return stats.unseen.emplace_back(value, SigWindowStats{}).second;
+}
+
 void AnomalyDetector::ingest(const Synopsis& synopsis) {
-  const Feature f = make_feature(synopsis);
-  const auto window =
-      static_cast<std::size_t>(std::max<UsTime>(f.start, 0) / config_.window);
+  auto window =
+      static_cast<std::size_t>(std::max<UsTime>(synopsis.start, 0) / config_.window);
   // Late synopses for windows already closed are attributed to the oldest
   // open window rather than dropped: anomalies should not escape detection
   // because a long task finished after its start window closed.
-  const std::size_t effective = std::max(window, next_window_to_close_);
-  auto [win_it, opened] = open_windows_.try_emplace(effective);
-  if (opened) {
+  const bool late = window < next_window_to_close_;
+  if (late) window = next_window_to_close_;
+  const std::uint32_t key = key_index(synopsis.host, synopsis.stage);
+  const StageModel* sm = keys_[key].model;
+  const std::size_t windows_before = open_windows_.size();
+  StageWindowStats& stats = slot(window, key);
+  if (open_windows_.size() != windows_before) {
     obs::FlightRecorder::global().record(obs::EventKind::kWindowOpen,
-                                         "window %zu opened", effective);
+                                         "window %zu opened", window);
   }
-  auto& stage_stats = win_it->second[{f.host, f.stage}];
-  if constexpr (obs::kMetricsEnabled) DetectorMetrics::get().synopses.inc();
+  if constexpr (obs::kMetricsEnabled) {
+    auto& metrics = DetectorMetrics::get();
+    metrics.synopses.inc();
+    if (late) metrics.late_reattributed.inc();
+    if (sm == nullptr) metrics.unknown_stage.inc();
+  }
 
-  const Classification c = model_->classify(f);
-  stage_stats.n++;
+  const SignatureId id =
+      sm != nullptr ? sm->signatures.find(synopsis.log_points) : kNoSignature;
+  const Classification c = OutlierModel::classify(sm, id, synopsis.duration);
+  // Only a signature the model lacks is materialized, to tally by value.
+  const Signature signature =
+      id == kNoSignature ? Signature::from(synopsis) : Signature();
+  stats.n++;
   if (c.flow_outlier) {
-    stage_stats.flow_outliers++;
-    if (stage_stats.example_flow_outlier.empty())
-      stage_stats.example_flow_outlier = f.signature;
+    stats.flow_outliers++;
+    if (example_of(stats, sm).empty()) {
+      stats.example_id = id;
+      if (id == kNoSignature) stats.example = signature;
+    }
   }
-  if (c.new_signature) {
-    auto& fresh = stage_stats.new_signatures;
-    if (std::find(fresh.begin(), fresh.end(), f.signature) == fresh.end())
-      fresh.push_back(f.signature);
-  }
-  auto& sig_stats = stage_stats.per_signature[f.signature];
-  sig_stats.n++;
-  sig_stats.perf_applicable = c.perf_applicable;
-  if (c.perf_outlier) sig_stats.perf_outliers++;
+  auto& fresh = stats.new_signatures;
+  if (c.new_signature &&
+      std::find(fresh.begin(), fresh.end(), signature) == fresh.end())
+    fresh.push_back(signature);
+  SigWindowStats& t = tally(stats, id, signature);
+  t.n++;
+  t.perf_applicable = c.perf_applicable;
+  if (c.perf_outlier) t.perf_outliers++;
   ingested_++;
 }
 
 std::vector<Anomaly> AnomalyDetector::advance_to(UsTime now) {
   std::vector<Anomaly> out;
+  last_window_ = nullptr;
   while (!open_windows_.empty()) {
     auto it = open_windows_.begin();
     const UsTime window_end =
@@ -118,8 +224,9 @@ std::vector<Anomaly> AnomalyDetector::advance_to(UsTime now) {
 
 std::vector<Anomaly> AnomalyDetector::finish() {
   std::vector<Anomaly> out;
-  for (auto& [index, stats] : open_windows_) {
-    auto produced = close_window(index, stats);
+  last_window_ = nullptr;
+  for (auto& [index, window] : open_windows_) {
+    auto produced = close_window(index, window);
     out.insert(out.end(), produced.begin(), produced.end());
     next_window_to_close_ = index + 1;
   }
@@ -129,14 +236,41 @@ std::vector<Anomaly> AnomalyDetector::finish() {
 
 void AnomalyDetector::rebind_model(const OutlierModel* model) {
   assert(model != nullptr);
+  // Ids belong to a model: re-key every open tally by signature value.
+  for (auto& [index, window] : open_windows_) {
+    for (std::uint32_t k = 0; k < window.size(); ++k) {
+      StageWindowStats& stats = window[k];
+      if (!stats.open) continue;
+      const StageModel* from = keys_[k].model;
+      const StageModel* to = model->stage_model(keys_[k].stage);
+      const auto id_in = [&](const Signature& signature) {
+        return to != nullptr ? to->signatures.find(signature) : kNoSignature;
+      };
+      StageWindowStats rekeyed;
+      for (const KnownTally& t : stats.known) {
+        const Signature& signature = from->signatures[t.id].first;
+        tally(rekeyed, id_in(signature), signature) = t.stats;
+      }
+      for (const auto& [signature, t] : stats.unseen)
+        tally(rekeyed, id_in(signature), signature) = t;
+      stats.known = std::move(rekeyed.known);
+      stats.unseen = std::move(rekeyed.unseen);
+      Signature example = example_of(stats, from);
+      stats.example_id = id_in(example);
+      stats.example =
+          stats.example_id == kNoSignature ? std::move(example) : Signature();
+    }
+  }
+  for (Key& key : keys_) key.model = model->stage_model(key.stage);
   model_ = model;
 }
 
 namespace {
 
 // Detector-state codec (version 1). All integers varint; signatures are
-// count + delta-encoded sorted points (the model_io.cpp idiom). Every map
-// iterates in key order, so equal states encode equal bytes.
+// count + delta-encoded sorted points (the model_io.cpp idiom). Windows,
+// keys and signatures are written in ascending order, so equal states
+// encode equal bytes.
 constexpr std::uint64_t kDetectorStateVersion = 1;
 
 void put_signature(const Signature& sig, std::vector<std::uint8_t>& out) {
@@ -172,40 +306,69 @@ void AnomalyDetector::save_state(std::vector<std::uint8_t>& out) const {
   put_varint(next_window_to_close_, out);
   put_varint(ingested_, out);
   put_varint(open_windows_.size(), out);
+  std::vector<const std::pair<Signature, SigWindowStats>*> unseen;
   for (const auto& [index, window] : open_windows_) {
     put_varint(index, out);
-    put_varint(window.size(), out);
-    for (const auto& [key, stage_stats] : window) {
-      put_varint(key.first, out);
-      put_varint(key.second, out);
-      put_varint(stage_stats.n, out);
-      put_varint(stage_stats.flow_outliers, out);
-      put_signature(stage_stats.example_flow_outlier, out);
-      put_varint(stage_stats.new_signatures.size(), out);
-      for (const Signature& sig : stage_stats.new_signatures)
+    const auto is_open = [&](std::uint32_t k) {
+      return k < window.size() && window[k].open;
+    };
+    put_varint(std::count_if(key_order_.begin(), key_order_.end(), is_open),
+               out);
+    for (const std::uint32_t k : key_order_) {
+      if (!is_open(k)) continue;
+      const StageWindowStats& stats = window[k];
+      const StageModel* sm = keys_[k].model;
+      put_varint(keys_[k].host, out);
+      put_varint(keys_[k].stage, out);
+      put_varint(stats.n, out);
+      put_varint(stats.flow_outliers, out);
+      put_signature(example_of(stats, sm), out);
+      put_varint(stats.new_signatures.size(), out);
+      for (const Signature& sig : stats.new_signatures) put_signature(sig, out);
+      // Known tallies are in Signature order already; merge the never-seen
+      // ones in.
+      put_varint(stats.known.size() + stats.unseen.size(), out);
+      unseen.clear();
+      for (const auto& u : stats.unseen) unseen.push_back(&u);
+      std::sort(unseen.begin(), unseen.end(),
+                [](const auto* a, const auto* b) { return a->first < b->first; });
+      const auto put_tally = [&](const Signature& sig, const SigWindowStats& t) {
         put_signature(sig, out);
-      put_varint(stage_stats.per_signature.size(), out);
-      for (const auto& [sig, sig_stats] : stage_stats.per_signature) {
-        put_signature(sig, out);
-        put_varint(sig_stats.n, out);
-        put_varint(sig_stats.perf_outliers, out);
-        put_varint(sig_stats.perf_applicable ? 1 : 0, out);
+        put_varint(t.n, out);
+        put_varint(t.perf_outliers, out);
+        put_varint(t.perf_applicable ? 1 : 0, out);
+      };
+      auto u = unseen.begin();
+      for (const KnownTally& t : stats.known) {
+        const Signature& sig = sm->signatures[t.id].first;
+        for (; u != unseen.end() && (*u)->first < sig; ++u)
+          put_tally((*u)->first, (*u)->second);
+        put_tally(sig, t.stats);
       }
+      for (; u != unseen.end(); ++u) put_tally((*u)->first, (*u)->second);
     }
   }
 }
 
 bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
                                     bool merge) {
-  // Decode into scratch structures first: a malformed tail must not leave
-  // the detector half-mutated.
+  // Decode into scratch structures keyed by value first: a malformed tail
+  // must not leave the detector half-mutated.
+  struct DecodedKey {
+    std::uint64_t n = 0;
+    std::uint64_t flow_outliers = 0;
+    Signature example;
+    std::vector<Signature> new_signatures;
+    std::map<Signature, SigWindowStats> per_signature;
+  };
+  using DecodedWindow = std::map<std::pair<HostId, StageId>, DecodedKey>;
   std::uint64_t version = 0, next_window = 0, ingested = 0, num_windows = 0;
   if (!get_varint(in, version) || version != kDetectorStateVersion)
     return false;
   if (!get_varint(in, next_window)) return false;
   if (!get_varint(in, ingested)) return false;
   if (!get_varint(in, num_windows) || num_windows > 0x100000) return false;
-  std::map<std::size_t, WindowStats> windows;
+  std::map<std::size_t, DecodedWindow> windows;
   for (std::uint64_t w = 0; w < num_windows; ++w) {
     std::uint64_t index = 0, num_keys = 0;
     if (!get_varint(in, index)) return false;
@@ -214,18 +377,21 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
     if (!get_varint(in, num_keys) || num_keys > 0x100000) return false;
     for (std::uint64_t k = 0; k < num_keys; ++k) {
       std::uint64_t host = 0, stage = 0, count = 0;
-      if (!get_varint(in, host) || host > 0xFFFFFFFF) return false;
+      if (!get_varint(in, host) || host > 0xFFFF) return false;
       if (!get_varint(in, stage) || stage > 0xFFFF) return false;
-      StageWindowStats stage_stats;
-      if (!get_varint(in, stage_stats.n)) return false;
-      if (!get_varint(in, stage_stats.flow_outliers)) return false;
-      if (!get_signature(in, stage_stats.example_flow_outlier)) return false;
+      auto [key_it, new_key] = win_it->second.try_emplace(
+          {static_cast<HostId>(host), static_cast<StageId>(stage)});
+      if (!new_key) return false;  // duplicate key
+      DecodedKey& decoded = key_it->second;
+      if (!get_varint(in, decoded.n)) return false;
+      if (!get_varint(in, decoded.flow_outliers)) return false;
+      if (!get_signature(in, decoded.example)) return false;
       if (!get_varint(in, count) || count > 0x100000) return false;
-      stage_stats.new_signatures.reserve(count);
+      decoded.new_signatures.reserve(count);
       for (std::uint64_t s = 0; s < count; ++s) {
         Signature sig;
         if (!get_signature(in, sig)) return false;
-        stage_stats.new_signatures.push_back(std::move(sig));
+        decoded.new_signatures.push_back(std::move(sig));
       }
       if (!get_varint(in, count) || count > 0x100000) return false;
       for (std::uint64_t s = 0; s < count; ++s) {
@@ -237,84 +403,96 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
         if (!get_varint(in, sig_stats.perf_outliers)) return false;
         if (!get_varint(in, flags) || flags > 1) return false;
         sig_stats.perf_applicable = flags != 0;
-        if (!win_it->second[{static_cast<HostId>(host),
-                             static_cast<StageId>(stage)}]
-                 .per_signature.emplace(std::move(sig), sig_stats)
-                 .second) {
+        if (!decoded.per_signature.emplace(std::move(sig), sig_stats).second)
           return false;  // duplicate signature
-        }
       }
-      auto& slot = win_it->second[{static_cast<HostId>(host),
-                                   static_cast<StageId>(stage)}];
-      slot.n = stage_stats.n;
-      slot.flow_outliers = stage_stats.flow_outliers;
-      slot.example_flow_outlier = std::move(stage_stats.example_flow_outlier);
-      slot.new_signatures = std::move(stage_stats.new_signatures);
     }
   }
   if (!in.empty()) return false;
 
-  if (!merge) {
-    open_windows_ = std::move(windows);
+  if (merge) {
+    // Sum tallies, max cursors. AnalyzerPool folds per-worker states this
+    // way — partitions have disjoint (host, stage) keys, but the merge is
+    // written to be correct for overlapping keys too.
+    next_window_to_close_ =
+        std::max(next_window_to_close_, static_cast<std::size_t>(next_window));
+    ingested_ += ingested;
+  } else {
+    open_windows_.clear();
+    last_window_ = nullptr;
     next_window_to_close_ = static_cast<std::size_t>(next_window);
     ingested_ = ingested;
-    return true;
   }
-  // Merge: sum tallies, max cursors. AnalyzerPool folds per-worker states
-  // this way — partitions have disjoint (host, stage) keys, but the merge is
-  // written to be correct for overlapping keys too.
   for (auto& [index, window] : windows) {
-    auto& dst_window = open_windows_[index];
     for (auto& [key, src] : window) {
-      auto& dst = dst_window[key];
+      const std::uint32_t k = key_index(key.first, key.second);
+      const StageModel* sm = keys_[k].model;
+      StageWindowStats& dst = slot(index, k);
       dst.n += src.n;
       dst.flow_outliers += src.flow_outliers;
-      if (dst.example_flow_outlier.empty())
-        dst.example_flow_outlier = std::move(src.example_flow_outlier);
+      if (example_of(dst, sm).empty()) {
+        dst.example_id =
+            sm != nullptr ? sm->signatures.find(src.example) : kNoSignature;
+        if (dst.example_id == kNoSignature) dst.example = std::move(src.example);
+      }
       for (auto& sig : src.new_signatures) {
         auto& fresh = dst.new_signatures;
         if (std::find(fresh.begin(), fresh.end(), sig) == fresh.end())
           fresh.push_back(std::move(sig));
       }
-      for (auto& [sig, src_stats] : src.per_signature) {
-        auto& dst_stats = dst.per_signature[sig];
-        dst_stats.n += src_stats.n;
-        dst_stats.perf_outliers += src_stats.perf_outliers;
-        dst_stats.perf_applicable |= src_stats.perf_applicable;
+      for (const auto& [sig, src_stats] : src.per_signature) {
+        SigWindowStats& t = tally(
+            dst, sm != nullptr ? sm->signatures.find(sig) : kNoSignature, sig);
+        t.n += src_stats.n;
+        t.perf_outliers += src_stats.perf_outliers;
+        t.perf_applicable |= src_stats.perf_applicable;
       }
     }
   }
-  next_window_to_close_ =
-      std::max(next_window_to_close_, static_cast<std::size_t>(next_window));
-  ingested_ += ingested;
   return true;
 }
 
+void AnomalyDetector::adopt(std::size_t window, HostId host, StageId stage,
+                            StageWindowStats&& stats) {
+  slot(window, key_index(host, stage)) = std::move(stats);
+}
+
 std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
-                                                   WindowStats& stats) {
+                                                   Window& window) {
   std::vector<Anomaly> out;
   std::chrono::steady_clock::time_point close_begin;
   if constexpr (obs::kMetricsEnabled)
     close_begin = std::chrono::steady_clock::now();
 
+  const auto is_open = [&](std::uint32_t k) {
+    return k < window.size() && window[k].open;
+  };
   double alpha = config_.alpha;
   if (config_.bonferroni) {
     // Count the hypothesis tests this window will run: one flow test per
     // (host, stage) with outliers, one perf test per applicable signature
     // with outliers.
     std::size_t tests = 0;
-    for (const auto& [key, stage_stats] : stats) {
-      if (stage_stats.flow_outliers > 0) tests++;
-      for (const auto& [sig, sig_stats] : stage_stats.per_signature) {
-        if (sig_stats.perf_applicable && sig_stats.perf_outliers > 0) tests++;
-      }
+    const auto counts = [](const SigWindowStats& t) {
+      return t.perf_applicable && t.perf_outliers > 0;
+    };
+    for (const StageWindowStats& stats : window) {
+      if (!stats.open) continue;
+      if (stats.flow_outliers > 0) tests++;
+      for (const KnownTally& t : stats.known) tests += counts(t.stats);
+      for (const auto& u : stats.unseen) tests += counts(u.second);
     }
     if (tests > 1) alpha /= static_cast<double>(tests);
   }
 
-  for (auto& [key, stage_stats] : stats) {
-    const auto [host, stage] = key;
-    const StageModel* sm = model_->stage_model(stage);
+  std::size_t keys_closed = 0;
+  for (const std::uint32_t k : key_order_) {
+    if (!is_open(k)) continue;
+    ++keys_closed;
+    const StageWindowStats& stats = window[k];
+    const HostId host = keys_[k].host;
+    const StageId stage = keys_[k].stage;
+    const StageModel* sm = keys_[k].model;
     const double train_flow_rate = sm ? sm->train_flow_outlier_rate : 0.0;
 
     // ---- Flow anomaly ---------------------------------------------------
@@ -324,73 +502,72 @@ std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
     flow.host = host;
     flow.stage = stage;
     flow.kind = AnomalyKind::kFlow;
-    flow.n = stage_stats.n;
-    flow.outliers = stage_stats.flow_outliers;
-    flow.proportion = stage_stats.n > 0
-                          ? static_cast<double>(stage_stats.flow_outliers) /
-                                static_cast<double>(stage_stats.n)
+    flow.n = stats.n;
+    flow.outliers = stats.flow_outliers;
+    flow.proportion = stats.n > 0
+                          ? static_cast<double>(stats.flow_outliers) /
+                                static_cast<double>(stats.n)
                           : 0.0;
     flow.train_proportion = train_flow_rate;
-    flow.example_signature = stage_stats.example_flow_outlier;
 
     bool flow_anomalous = false;
-    if (config_.new_signature_is_anomaly && !stage_stats.new_signatures.empty()) {
+    if (config_.new_signature_is_anomaly && !stats.new_signatures.empty()) {
       flow_anomalous = true;
       flow.due_to_new_signature = true;
-      flow.example_signature = stage_stats.new_signatures.front();
+      flow.example_signature = stats.new_signatures.front();
       flow.p_value = 0.0;  // condition (ii): categorical, not a test
-    } else if (stage_stats.flow_outliers > 0) {
+    } else if (stats.flow_outliers > 0) {
       const auto result = stats::proportion_above(
-          stage_stats.flow_outliers, stage_stats.n, train_flow_rate, alpha,
+          stats.flow_outliers, stats.n, train_flow_rate, alpha,
           config_.test_kind, config_.min_n);
       flow.p_value = result.p_value;
       flow_anomalous = result.reject;
+      if (flow_anomalous) flow.example_signature = example_of(stats, sm);
       if constexpr (obs::kMetricsEnabled) {
         auto& metrics = DetectorMetrics::get();
         metrics.tests_run.inc();
         if (result.reject) metrics.tests_rejected.inc();
       }
     }
-    if (flow_anomalous) out.push_back(flow);
+    if (flow_anomalous) out.push_back(std::move(flow));
 
     // ---- Performance anomaly ---------------------------------------------
-    // Tested per signature; the stage is anomalous if any signature rejects.
-    bool perf_anomalous = false;
+    // Tested per known signature, in Signature order (a signature the model
+    // lacks has no threshold); the stage is anomalous if any rejects.
+    if (sm == nullptr) continue;
     Anomaly perf;
-    perf.window = index;
-    perf.window_start = flow.window_start;
-    perf.host = host;
-    perf.stage = stage;
-    perf.kind = AnomalyKind::kPerformance;
     perf.p_value = 1.0;
-    if (sm != nullptr) {
-      for (const auto& [sig, sig_stats] : stage_stats.per_signature) {
-        if (!sig_stats.perf_applicable || sig_stats.perf_outliers == 0)
-          continue;
-        const auto trained = sm->signatures.find(sig);
-        if (trained == sm->signatures.end()) continue;
-        const auto result = stats::proportion_above(
-            sig_stats.perf_outliers, sig_stats.n,
-            trained->second.train_perf_outlier_rate, alpha,
-            config_.test_kind, config_.min_n);
-        if constexpr (obs::kMetricsEnabled) {
-          auto& metrics = DetectorMetrics::get();
-          metrics.tests_run.inc();
-          if (result.reject) metrics.tests_rejected.inc();
-        }
-        if (result.reject && result.p_value <= perf.p_value) {
-          perf_anomalous = true;
-          perf.p_value = result.p_value;
-          perf.n = sig_stats.n;
-          perf.outliers = sig_stats.perf_outliers;
-          perf.proportion = static_cast<double>(sig_stats.perf_outliers) /
-                            static_cast<double>(sig_stats.n);
-          perf.train_proportion = trained->second.train_perf_outlier_rate;
-          perf.example_signature = sig;
-        }
+    const Signature* example = nullptr;
+    for (const KnownTally& t : stats.known) {
+      if (!t.stats.perf_applicable || t.stats.perf_outliers == 0) continue;
+      const auto& [signature, trained] = sm->signatures[t.id];
+      const auto result = stats::proportion_above(
+          t.stats.perf_outliers, t.stats.n, trained.train_perf_outlier_rate,
+          alpha, config_.test_kind, config_.min_n);
+      if constexpr (obs::kMetricsEnabled) {
+        auto& metrics = DetectorMetrics::get();
+        metrics.tests_run.inc();
+        if (result.reject) metrics.tests_rejected.inc();
+      }
+      if (result.reject && result.p_value <= perf.p_value) {
+        perf.p_value = result.p_value;
+        perf.n = t.stats.n;
+        perf.outliers = t.stats.perf_outliers;
+        perf.proportion = static_cast<double>(t.stats.perf_outliers) /
+                          static_cast<double>(t.stats.n);
+        perf.train_proportion = trained.train_perf_outlier_rate;
+        example = &signature;
       }
     }
-    if (perf_anomalous) out.push_back(perf);
+    if (example != nullptr) {
+      perf.window = index;
+      perf.window_start = static_cast<UsTime>(index) * config_.window;
+      perf.host = host;
+      perf.stage = stage;
+      perf.kind = AnomalyKind::kPerformance;
+      perf.example_signature = *example;
+      out.push_back(std::move(perf));
+    }
   }
 
   if constexpr (obs::kMetricsEnabled) {
@@ -409,7 +586,7 @@ std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
   if (!out.empty()) {
     obs::FlightRecorder::global().record(
         obs::EventKind::kWindowClose, "window %zu closed: %zu anomalies over %zu (host, stage) keys",
-        index, out.size(), stats.size());
+        index, out.size(), keys_closed);
   }
   return out;
 }

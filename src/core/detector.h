@@ -68,8 +68,13 @@ class AnomalyDetector {
  public:
   AnomalyDetector(const OutlierModel* model, DetectorConfig config = {});
 
+  AnomalyDetector(const AnomalyDetector&) = delete;
+  AnomalyDetector& operator=(const AnomalyDetector&) = delete;
+
   /// Buckets the synopsis into its window (by task start time). Synopses may
-  /// arrive out of order within open windows.
+  /// arrive out of order within open windows; one whose window already
+  /// closed is counted in the oldest open window instead. Once a window
+  /// holds a key's signature, ingesting it again allocates nothing.
   void ingest(const Synopsis& synopsis);
 
   /// Closes every window that ends at or before `now` and appends its
@@ -86,9 +91,11 @@ class AnomalyDetector {
 
   // ---- Warm-restart state (checkpoint.h) -----------------------------------
   // The detector's only mutable state is the open-window tallies plus the
-  // close cursor; both serialize to a canonical byte string (std::map
-  // iteration order), so save -> restore -> save round-trips bit-identically
-  // and two detectors with equal state encode equal bytes.
+  // close cursor; both serialize to a canonical byte string (windows
+  // ascending, keys by (host, stage), signatures in Signature order with
+  // known and never-seen ones merged), so save -> restore -> save
+  // round-trips bit-identically and two detectors with equal state encode
+  // equal bytes.
 
   /// Appends every open window's per-(host, stage) and per-signature tallies,
   /// the close cursor, and the ingest count to `out`.
@@ -105,7 +112,9 @@ class AnomalyDetector {
   /// (no ingest since the last advance_to/finish on the windows the swap
   /// should not affect is *not* required — open windows were classified at
   /// ingest time under the old model and close with those tallies; only
-  /// synopses ingested after the rebind see the new model). AnalyzerPool
+  /// synopses ingested after the rebind see the new model). Signature ids
+  /// belong to a model, so open windows' tallies are re-keyed by signature
+  /// value; the old model must still be alive during the call. AnalyzerPool
   /// applies staged swaps here, after the close barrier.
   void rebind_model(const OutlierModel* model);
 
@@ -117,23 +126,61 @@ class AnomalyDetector {
     std::uint64_t perf_outliers = 0;
     bool perf_applicable = false;
   };
+  /// Tally of a signature the model knows, by its id in the stage's table.
+  struct KnownTally {
+    SignatureId id = kNoSignature;
+    SigWindowStats stats;
+  };
+  /// One (window, host, stage). Only the signatures the key saw in the
+  /// window are tallied: the model's by id (sorted, hence in Signature
+  /// order), the others by value in a side list.
   struct StageWindowStats {
+    bool open = false;  // the window holds this key
     std::uint64_t n = 0;
     std::uint64_t flow_outliers = 0;
+    std::vector<KnownTally> known;
+    std::vector<std::pair<Signature, SigWindowStats>> unseen;
     std::vector<Signature> new_signatures;  // distinct, first-seen order
-    std::map<Signature, SigWindowStats> per_signature;
-    Signature example_flow_outlier;
+    // The first flow outlier: a model id, or else the value in example.
+    SignatureId example_id = kNoSignature;
+    Signature example;
   };
-  // (host, stage) -> stats, inside one window.
-  using WindowStats = std::map<std::pair<HostId, StageId>, StageWindowStats>;
+  using Window = std::vector<StageWindowStats>;  // indexed by key
+  /// A (host, stage) seen so far and its stage model under model_ (nullptr:
+  /// a stage the model has never seen). Keys are numbered densely in
+  /// first-seen order.
+  struct Key {
+    HostId host = 0;
+    StageId stage = kInvalidStage;
+    const StageModel* model = nullptr;
+  };
 
-  std::vector<Anomaly> close_window(std::size_t index, WindowStats& stats);
+  std::uint32_t key_index(HostId host, StageId stage);
+  /// The window's tallies for `key`, opening the window if needed.
+  StageWindowStats& slot(std::size_t window, std::uint32_t key);
+  /// Moves a restored key's tallies in (AnalyzerPool splits a state so).
+  void adopt(std::size_t window, HostId host, StageId stage,
+             StageWindowStats&& stats);
+  static const Signature& example_of(const StageWindowStats& stats,
+                                     const StageModel* model);
+  /// The tally of a signature in `stats`, created empty on first sight: by
+  /// `id` when the stage model knows it, else by `value`.
+  static SigWindowStats& tally(StageWindowStats& stats, SignatureId id,
+                               const Signature& value);
+  std::vector<Anomaly> close_window(std::size_t index, Window& window);
 
   const OutlierModel* model_;
   DetectorConfig config_;
-  std::map<std::size_t, WindowStats> open_windows_;
+  std::map<std::size_t, Window> open_windows_;
   std::size_t next_window_to_close_ = 0;
   std::uint64_t ingested_ = 0;
+
+  std::vector<Key> keys_;
+  std::vector<std::uint32_t> key_order_;  // key indices by (host, stage)
+  std::vector<std::uint32_t> key_slots_;  // open addressing: key index + 1
+  // The window the last synopsis landed in (null after windows close).
+  std::size_t last_window_index_ = 0;
+  Window* last_window_ = nullptr;
 };
 
 }  // namespace saad::core

@@ -11,9 +11,13 @@ Signature::Signature(std::vector<LogPointId> points)
 }
 
 Signature Signature::from(const Synopsis& synopsis) {
+  return from(synopsis.log_points);
+}
+
+Signature Signature::from(std::span<const LogPointCount> points) {
   std::vector<LogPointId> pts;
-  pts.reserve(synopsis.log_points.size());
-  for (const auto& lp : synopsis.log_points) pts.push_back(lp.point);
+  pts.reserve(points.size());
+  for (const auto& lp : points) pts.push_back(lp.point);
   return Signature(std::move(pts));
 }
 

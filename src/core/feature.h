@@ -22,6 +22,7 @@ class Signature {
   explicit Signature(std::vector<LogPointId> points);
 
   static Signature from(const Synopsis& synopsis);
+  static Signature from(std::span<const LogPointCount> points);
 
   const std::vector<LogPointId>& points() const { return points_; }
   bool empty() const { return points_.empty(); }

@@ -52,11 +52,50 @@ struct SignatureStats {
   double train_perf_outlier_rate = 0.0;  // empirical, measured on training
 };
 
+/// Dense per-stage signature id: a position in the stage's SignatureTable.
+/// Ids belong to one model; another model numbers its signatures anew.
+using SignatureId = std::uint32_t;
+inline constexpr SignatureId kNoSignature = 0xFFFFFFFFu;
+
+/// A stage's trained signatures, sorted in Signature order so that a table
+/// position is a dense SignatureId and ascending ids are ascending
+/// signatures. An open-addressing index over the point ids (LevelDB's
+/// Hash(data, n, seed) mixing) finds a signature from a synopsis's point
+/// list without building a Signature.
+class SignatureTable {
+ public:
+  using Entry = std::pair<Signature, SignatureStats>;
+
+  SignatureTable() = default;
+  /// Sorts the entries; of repeated signatures the first one is kept.
+  explicit SignatureTable(std::vector<Entry> entries);
+
+  std::size_t size() const { return entries_.size(); }
+  const Entry& operator[](SignatureId id) const { return entries_[id]; }
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+
+  /// Id of `signature`, or kNoSignature.
+  SignatureId find(const Signature& signature) const;
+  /// Id of the signature of a synopsis with these log points, or
+  /// kNoSignature. Point lists that are not strictly ascending (unsorted, or
+  /// a point repeated) go through Signature's sort-and-dedupe first.
+  SignatureId find(std::span<const LogPointCount> points) const;
+
+ private:
+  /// Looks up the point list of length `n` whose i-th point is `at(i)`.
+  template <typename PointAt>
+  SignatureId probe(std::size_t n, PointAt at) const;
+
+  std::vector<Entry> entries_;
+  std::vector<SignatureId> slots_;  // power-of-two size; kNoSignature = empty
+};
+
 struct StageModel {
   StageId stage = kInvalidStage;
   std::uint64_t task_count = 0;
   double train_flow_outlier_rate = 0.0;
-  std::unordered_map<Signature, SignatureStats, SignatureHash> signatures;
+  SignatureTable signatures;
 };
 
 /// How the model classifies a single task.
@@ -77,6 +116,12 @@ class OutlierModel {
                             const TrainingConfig& config = {});
 
   Classification classify(const Feature& feature) const;
+
+  /// The same verdict from an already resolved lookup: the task's stage
+  /// model (nullptr: a stage training never saw) and its signature's id in
+  /// that stage's table (kNoSignature: a signature training never saw).
+  static Classification classify(const StageModel* stage, SignatureId id,
+                                 UsTime duration);
 
   const StageModel* stage_model(StageId stage) const;
   const TrainingConfig& config() const { return config_; }

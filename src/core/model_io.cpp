@@ -6,7 +6,9 @@
 //           unstable_factor, min_signature_samples
 //   trained_tasks, num_stages
 //   per stage: stage_id, task_count, train_flow_outlier_rate, num_signatures
-//     per signature: point count, delta-encoded points, task_count, share,
+//     per signature (written in Signature order, read in any order; of a
+//     repeated signature the first wins):
+//       point count, delta-encoded points, task_count, share,
 //       flags (flow_outlier | perf_applicable << 1), duration_threshold,
 //       train_perf_outlier_rate
 #include <cmath>
@@ -100,6 +102,7 @@ std::optional<OutlierModel> OutlierModel::load(
     }
     std::uint64_t num_sigs = 0;
     if (!get_varint(in, num_sigs) || num_sigs > 0x100000) return std::nullopt;
+    std::vector<SignatureTable::Entry> entries;
     for (std::uint64_t g = 0; g < num_sigs; ++g) {
       std::uint64_t num_points = 0;
       if (!get_varint(in, num_points) || num_points > 0x10000)
@@ -131,8 +134,9 @@ std::optional<OutlierModel> OutlierModel::load(
           !valid_rate(ss.train_perf_outlier_rate)) {
         return std::nullopt;
       }
-      sm.signatures.emplace(Signature(std::move(points)), ss);
+      entries.emplace_back(Signature(std::move(points)), ss);
     }
+    sm.signatures = SignatureTable(std::move(entries));
     model.stages_.emplace(sm.stage, std::move(sm));
   }
   // A valid model consumes its input exactly; trailing bytes mean the file

@@ -1,5 +1,6 @@
 #include "core/synopsis.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "core/varint.h"
@@ -26,6 +27,12 @@ std::size_t encode_synopsis(const Synopsis& s, std::vector<std::uint8_t>& out) {
 }
 
 bool decode_synopsis(std::span<const std::uint8_t>& in, Synopsis& out) {
+  out.log_points.clear();
+  return decode_synopsis(in, out, out.log_points);
+}
+
+bool decode_synopsis(std::span<const std::uint8_t>& in, Synopsis& out,
+                     std::vector<LogPointCount>& points) {
   std::uint64_t v = 0;
   if (!get_varint(in, v) || v > 0xFFFF) return false;
   out.host = static_cast<HostId>(v);
@@ -40,16 +47,18 @@ bool decode_synopsis(std::span<const std::uint8_t>& in, Synopsis& out) {
   if (!get_varint(in, v)) return false;
   const std::uint64_t n = v;
   if (n > 0x10000) return false;  // more points than ids exist: malformed
-  out.log_points.clear();
-  out.log_points.reserve(n);
+  // Exact for a lone record, geometric for a shared pool.
+  const std::size_t need = points.size() + n;
+  if (points.capacity() < need)
+    points.reserve(std::max(need, 2 * points.capacity()));
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     std::uint64_t delta = 0, count = 0;
     if (!get_varint(in, delta) || !get_varint(in, count)) return false;
     prev += delta;
     if (prev > 0xFFFF || count > 0xFFFFFFFFull) return false;
-    out.log_points.push_back(LogPointCount{static_cast<LogPointId>(prev),
-                                           static_cast<std::uint32_t>(count)});
+    points.push_back(LogPointCount{static_cast<LogPointId>(prev),
+                                   static_cast<std::uint32_t>(count)});
   }
   return true;
 }

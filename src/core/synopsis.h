@@ -44,6 +44,12 @@ std::size_t encode_synopsis(const Synopsis& s, std::vector<std::uint8_t>& out);
 /// unspecified and `out` partially filled).
 bool decode_synopsis(std::span<const std::uint8_t>& in, Synopsis& out);
 
+/// The same decode for batch readers: the scalar fields go to `out`, the log
+/// points are appended to `points` (out.log_points is left alone), so the
+/// records of a block can share one point pool.
+bool decode_synopsis(std::span<const std::uint8_t>& in, Synopsis& out,
+                     std::vector<LogPointCount>& points);
+
 /// Size in bytes the synopsis would occupy on the wire.
 std::size_t encoded_size(const Synopsis& s);
 

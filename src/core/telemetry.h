@@ -30,6 +30,11 @@ void register_pipeline_metrics();
 namespace detail {
 void register_channel_metrics();
 void register_analyzer_pool_metrics();
+/// saad_detector_*: synopses, windows closed, anomalies, tests and
+/// rejections, window-close latency, and the two counters of data the
+/// detector moves or flags without a verdict of its own —
+/// late_reattributed_total (start window already closed, counted in the
+/// oldest open one) and unknown_stage_total (a stage the model never saw).
 void register_detector_metrics();
 void register_trace_io_metrics();
 void register_monitor_metrics();

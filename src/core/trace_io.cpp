@@ -39,7 +39,7 @@ struct TraceIoMetrics {
             "Explicit flush() calls that pushed data to the OS.")),
         reader_records(obs::MetricsRegistry::global().counter(
             "saad_trace_reader_records_total",
-            "Synopses decoded from trace files (v1 + v2).")),
+            "Synopses decoded from CRC-verified trace blocks.")),
         reader_blocks(obs::MetricsRegistry::global().counter(
             "saad_trace_reader_blocks_total",
             "v2 block headers seen, including corrupt blocks.")),
@@ -68,12 +68,10 @@ constexpr std::size_t kBlockHeaderSize = 16;
 // Sanity cap on a decoded block: a length field above this is damage, not a
 // block (the writer seals at Options::block_bytes, default 64 KB).
 constexpr std::uint32_t kMaxBlockPayload = 64u * 1024 * 1024;
-constexpr std::size_t kV1Chunk = 64 * 1024;
 
-// Publishes the TraceStats deltas accrued during one reader step (a v2 block
-// refill or a v1 decode step) into the global metrics and flight recorder,
-// whatever exit path the step takes. Keeps the recovery logic free of
-// per-site instrumentation.
+// Publishes the TraceStats deltas accrued during one block refill into the
+// global metrics and flight recorder, whatever exit path the refill takes.
+// Keeps the recovery logic free of per-site instrumentation.
 class ReaderDamageScope {
  public:
   explicit ReaderDamageScope(const TraceStats& stats)
@@ -127,48 +125,6 @@ std::uint32_t get_u32le(const std::uint8_t* src) {
 }  // namespace
 
 void detail::register_trace_io_metrics() { TraceIoMetrics::get(); }
-
-// ---- v1 buffer codec -------------------------------------------------------
-
-std::vector<std::uint8_t> encode_trace(std::span<const Synopsis> trace) {
-  std::vector<std::uint8_t> out;
-  out.reserve(trace.size() * 32 + sizeof(kMagicV1));
-  // resize + memcpy rather than insert-from-array: GCC 12's stringop-overflow
-  // pass misattributes the 8-byte magic copy to the reserve'd allocation and
-  // warns under -Werror.
-  out.resize(sizeof(kMagicV1));
-  std::memcpy(out.data(), kMagicV1, sizeof(kMagicV1));
-  for (const auto& s : trace) encode_synopsis(s, out);
-  return out;
-}
-
-std::optional<std::vector<Synopsis>> decode_trace(
-    std::span<const std::uint8_t> bytes, TraceStats* stats) {
-  TraceStats local;
-  if (stats) *stats = local;
-  if (bytes.size() < sizeof(kMagicV1) ||
-      std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) != 0) {
-    return std::nullopt;
-  }
-  local.version = 1;
-  bytes = bytes.subspan(sizeof(kMagicV1));
-  std::vector<Synopsis> trace;
-  while (!bytes.empty()) {
-    auto attempt = bytes;  // decode leaves the span unspecified on failure
-    Synopsis s;
-    if (!decode_synopsis(attempt, s)) {
-      // Unframed records: recover the complete-record prefix, drop the rest.
-      local.bytes_discarded = bytes.size();
-      local.truncated_tail = true;
-      break;
-    }
-    bytes = attempt;
-    trace.push_back(std::move(s));
-  }
-  local.synopses = trace.size();
-  if (stats) *stats = local;
-  return trace;
-}
 
 // ---- TraceWriter -----------------------------------------------------------
 
@@ -263,8 +219,7 @@ TraceReader::TraceReader(const std::string& path) {
   std::size_t got = 0;
   if (!read_exact(magic, sizeof(magic), &got)) return;
   if (std::memcmp(magic, kMagicV1, sizeof(magic)) == 0) {
-    stats_.version = 1;
-    ok_ = true;
+    stats_.version = 1;  // recognized, but no longer supported
   } else if (std::memcmp(magic, kMagicV2, sizeof(magic)) == 0) {
     stats_.version = 2;
     ok_ = true;
@@ -292,19 +247,38 @@ bool TraceReader::read_exact(std::uint8_t* dst, std::size_t n,
 
 bool TraceReader::next(Synopsis& out) {
   if (!ok_) return false;
-  if (stats_.version == 1) return next_v1(out);
-  if (block_pos_ >= block_records_.size() && !refill_block_v2()) return false;
-  out = std::move(block_records_[block_pos_++]);
+  if (next_record_ >= records_.size() && !refill_block()) return false;
+  const std::size_t begin =
+      next_record_ == 0 ? 0 : records_[next_record_ - 1].points_end;
+  const Record& record = records_[next_record_++];
+  out.host = record.fields.host;
+  out.stage = record.fields.stage;
+  out.uid = record.fields.uid;
+  out.start = record.fields.start;
+  out.duration = record.fields.duration;
+  out.log_points.assign(
+      points_.begin() + static_cast<std::ptrdiff_t>(begin),
+      points_.begin() + static_cast<std::ptrdiff_t>(record.points_end));
   ++stats_.synopses;
-  if constexpr (obs::kMetricsEnabled)
-    TraceIoMetrics::get().reader_records.inc();
   return true;
 }
 
-bool TraceReader::refill_block_v2() {
+bool TraceReader::decode_block(std::uint32_t record_count) {
+  records_.clear();
+  points_.clear();
+  std::span<const std::uint8_t> rest(payload_);
+  for (std::uint32_t r = 0; r < record_count; ++r) {
+    Record& record = records_.emplace_back();
+    if (!decode_synopsis(rest, record.fields, points_)) return false;
+    record.points_end = points_.size();
+  }
+  return rest.empty();
+}
+
+bool TraceReader::refill_block() {
   ReaderDamageScope damage(stats_);
-  block_records_.clear();
-  block_pos_ = 0;
+  records_.clear();
+  next_record_ = 0;
 
   // Scans forward from `window` (bytes already consumed, starting at the
   // byte where framing broke) to the next block marker; queues the marker
@@ -364,79 +338,25 @@ bool TraceReader::refill_block_v2() {
       continue;
     }
     ++stats_.blocks_total;
-    std::vector<std::uint8_t> payload(payload_len);
+    payload_.resize(payload_len);
     got = 0;
-    if (!read_exact(payload.data(), payload_len, &got)) {
+    if (!read_exact(payload_.data(), payload_len, &got)) {
       stats_.bytes_discarded += sizeof(header) + got;
       stats_.truncated_tail = true;
       return false;
     }
-    max_buffered_ = std::max(max_buffered_, payload.size() + sizeof(header));
-    if (crc32c(payload) != crc) {
+    max_buffered_ = std::max(max_buffered_, payload_.size() + sizeof(header));
+    // A decode failure past a matching CRC is a codec bug or a CRC
+    // collision: the block is treated as corrupt rather than trusted.
+    if (crc32c(payload_) != crc || !decode_block(record_count)) {
+      records_.clear();
       ++stats_.blocks_corrupt;
       stats_.bytes_discarded += sizeof(header) + payload_len;
       continue;  // framing intact: the next header follows immediately
     }
-    // CRC verified; a decode failure past this point is a codec bug or a
-    // CRC collision — treat the block as corrupt rather than trust it.
-    std::span<const std::uint8_t> rest(payload);
-    bool bad = false;
-    for (std::uint32_t r = 0; r < record_count; ++r) {
-      Synopsis s;
-      if (!decode_synopsis(rest, s)) {
-        bad = true;
-        break;
-      }
-      block_records_.push_back(std::move(s));
-    }
-    if (bad || !rest.empty()) {
-      block_records_.clear();
-      ++stats_.blocks_corrupt;
-      stats_.bytes_discarded += sizeof(header) + payload_len;
-      continue;
-    }
-    if (!block_records_.empty()) return true;
-  }
-}
-
-bool TraceReader::next_v1(Synopsis& out) {
-  ReaderDamageScope damage(stats_);
-  for (;;) {
-    std::span<const std::uint8_t> rest(v1_buf_.data() + v1_pos_,
-                                       v1_buf_.size() - v1_pos_);
-    if (!rest.empty()) {
-      auto attempt = rest;
-      if (decode_synopsis(attempt, out)) {
-        v1_pos_ = v1_buf_.size() - attempt.size();
-        ++stats_.synopses;
-        if constexpr (obs::kMetricsEnabled)
-          TraceIoMetrics::get().reader_records.inc();
-        return true;
-      }
-    }
-    if (v1_eof_) {
-      // v1 carries no framing, so a failed record ends recovery: whether
-      // torn tail or mid-file damage, everything after the last complete
-      // record is discarded.
-      if (!rest.empty()) {
-        stats_.bytes_discarded += rest.size();
-        stats_.truncated_tail = true;
-        v1_pos_ = v1_buf_.size();
-      }
-      return false;
-    }
-    // The record may simply span the chunk boundary: slide the unconsumed
-    // tail to the front and read another chunk.
-    v1_buf_.erase(v1_buf_.begin(),
-                  v1_buf_.begin() + static_cast<std::ptrdiff_t>(v1_pos_));
-    v1_pos_ = 0;
-    const std::size_t old = v1_buf_.size();
-    v1_buf_.resize(old + kV1Chunk);
-    in_.read(reinterpret_cast<char*>(v1_buf_.data() + old), kV1Chunk);
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    v1_buf_.resize(old + got);
-    if (got < kV1Chunk) v1_eof_ = true;
-    max_buffered_ = std::max(max_buffered_, v1_buf_.size());
+    if constexpr (obs::kMetricsEnabled)
+      TraceIoMetrics::get().reader_records.inc(records_.size());
+    if (!records_.empty()) return true;
   }
 }
 

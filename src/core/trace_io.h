@@ -2,29 +2,24 @@
 //
 // SAAD keeps synopses in memory in production, "however, they could be
 // stored for later inspection" (paper §5.3.2) — and storing them is how the
-// train-offline/deploy-online workflow works. Two on-disk formats share the
-// read_trace_file / TraceReader entry points:
-//
-//  v1 ("SAADTRC1") — the original format: the magic followed by back-to-back
-//    varint-encoded synopses (the same wire encoding the channel uses).
-//    Compact but fragile: records carry no framing, so a reader cannot skip
-//    damage — it can only recover the complete-record *prefix* of a file and
-//    discard the rest. Kept readable for traces written by older builds.
-//
-//  v2 ("SAADTRC2") — the framed streaming format written by TraceWriter:
-//    the magic followed by checksummed blocks
+// train-offline/deploy-online workflow works. A trace file ("SAADTRC2") is
+// the magic followed by checksummed blocks of varint-encoded synopses (the
+// encoding the channel and the wire use):
 //
 //      +--------+-------------+--------------+---------+------------------+
 //      | "BLK2" | payload_len | record_count | crc32c  | payload          |
 //      | 4 B    | u32 LE      | u32 LE       | u32 LE  | encoded synopses |
 //      +--------+-------------+--------------+---------+------------------+
 //
-//    Every flush() seals a block, so a recorder killed mid-run (power cut,
-//    kill -9) loses at most the unflushed tail: TraceReader verifies each
-//    block's CRC32C, skips corrupt blocks (counted in TraceStats),
-//    resynchronizes on the "BLK2" marker after damaged framing, and stops
-//    cleanly at a torn tail. Reader and writer memory are O(one block), not
-//    O(trace) — a one-hour production trace streams through a few KB.
+// Every flush() seals a block, so a recorder killed mid-run (power cut,
+// kill -9) loses at most the unflushed tail: TraceReader verifies each
+// block's CRC32C, skips corrupt blocks (counted in TraceStats),
+// resynchronizes on the "BLK2" marker after damaged framing, and stops
+// cleanly at a torn tail. Reader and writer memory are O(one block), not
+// O(trace) — a one-hour production trace streams through a few KB.
+//
+// The unframed v1 format ("SAADTRC1") is no longer read: a v1 file fails
+// TraceReader::ok() with stats().version == 1, so tools can say why.
 #pragma once
 
 #include <cstdint>
@@ -42,26 +37,17 @@ namespace saad::core {
 /// tolerated. A trace with blocks_corrupt == 0 && bytes_discarded == 0 is
 /// pristine.
 struct TraceStats {
-  int version = 0;                    // 1 or 2; 0 = magic not recognized
-  std::uint64_t synopses = 0;         // records successfully decoded
-  std::uint64_t blocks_total = 0;     // v2: block headers seen (incl. corrupt)
-  std::uint64_t blocks_corrupt = 0;   // v2: blocks skipped (bad CRC/framing)
+  /// 2 for a readable trace; 1 for a legacy v1 file (unsupported, so the
+  /// reader is not ok()); 0 when the magic is not recognized.
+  int version = 0;
+  std::uint64_t synopses = 0;         // records handed out by next()
+  std::uint64_t blocks_total = 0;     // block headers seen (incl. corrupt)
+  std::uint64_t blocks_corrupt = 0;   // blocks skipped (bad CRC/framing)
   std::uint64_t bytes_discarded = 0;  // corrupt-block + torn-tail bytes
   bool truncated_tail = false;        // file ended mid-record / mid-block
 };
 
-/// Serializes `trace` into a v1 byte buffer (header + concatenated
-/// synopses). Kept for compatibility and for in-memory round trips; files
-/// are written in format v2 (see TraceWriter / write_trace_file).
-std::vector<std::uint8_t> encode_trace(std::span<const Synopsis> trace);
-
-/// Parses a v1 buffer. nullopt only on bad magic. A truncated or malformed
-/// record ends the parse: the complete-record prefix is returned and the
-/// discarded byte count is reported through `stats`.
-std::optional<std::vector<Synopsis>> decode_trace(
-    std::span<const std::uint8_t> bytes, TraceStats* stats = nullptr);
-
-/// Streaming, crash-safe trace writer (format v2). Appended synopses are
+/// Streaming, crash-safe trace writer. Appended synopses are
 /// buffered into a block; when the block payload reaches block_bytes — or on
 /// an explicit flush() — the block is sealed (length + record count + CRC32C
 /// header) and pushed to the OS, making everything up to that boundary
@@ -120,57 +106,61 @@ class TraceWriter {
   bool finalized_ = false;
 };
 
-/// Streaming trace reader for both formats. Iterates synopses one at a
-/// time; damage short of an unrecognizable magic is skipped and tallied in
-/// stats() rather than failing the whole file. For v2, memory is bounded by
-/// one block. For v1 (no framing) the reader streams in chunks but must
-/// buffer up to the rest of the file when a record is malformed mid-stream;
-/// the complete-record prefix is still recovered.
+/// Streaming trace reader. Iterates synopses one at a time; damage short of
+/// an unrecognizable magic is skipped and tallied in stats() rather than
+/// failing the whole file. Each block is read into one reused buffer, CRC
+/// checked, and decoded all-or-nothing into a reused flat batch (record
+/// fields plus one shared point pool), so memory is bounded by one block and
+/// steady-state reading allocates nothing.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
 
-  /// False when the file could not be opened or carries no trace magic.
+  /// False when the file could not be opened or carries no readable trace
+  /// magic (version() then tells a legacy v1 file from an unknown one).
   bool ok() const { return ok_; }
   int version() const { return stats_.version; }
 
-  /// Decodes the next synopsis; false at the end of recoverable data.
-  /// Damage counters in stats() are final once next() has returned false.
+  /// Refills `out` in place with the next synopsis, reusing the capacity of
+  /// its point list; false at the end of recoverable data. Damage counters
+  /// in stats() are final once next() has returned false.
   bool next(Synopsis& out);
 
   const TraceStats& stats() const { return stats_; }
 
-  /// Peak bytes buffered internally (framed block for v2, chunk buffer for
-  /// v1). Lets tests pin the O(one block) memory guarantee.
+  /// Peak framed block bytes buffered internally. Lets tests pin the
+  /// O(one block) memory guarantee.
   std::size_t max_buffered_bytes() const { return max_buffered_; }
 
  private:
   bool read_exact(std::uint8_t* dst, std::size_t n, std::size_t* got);
-  bool refill_block_v2();
-  bool next_v1(Synopsis& out);
+  bool refill_block();
+  bool decode_block(std::uint32_t record_count);
 
   std::ifstream in_;
   bool ok_ = false;
   TraceStats stats_;
   std::size_t max_buffered_ = 0;
 
-  // v2: records of the current CRC-verified block, drained front to back.
-  std::vector<Synopsis> block_records_;
-  std::size_t block_pos_ = 0;
-  std::vector<std::uint8_t> carry_;  // bytes consumed while resynchronizing
-
-  // v1: chunked byte buffer.
-  std::vector<std::uint8_t> v1_buf_;
-  std::size_t v1_pos_ = 0;
-  bool v1_eof_ = false;
+  std::vector<std::uint8_t> payload_;  // the current block's payload
+  std::vector<std::uint8_t> carry_;    // bytes consumed while resynchronizing
+  // The current CRC-verified block, drained front to back: record i's
+  // points are points_[records_[i-1].points_end, records_[i].points_end).
+  struct Record {
+    Synopsis fields;  // log_points unused
+    std::size_t points_end = 0;
+  };
+  std::vector<Record> records_;
+  std::vector<LogPointCount> points_;
+  std::size_t next_record_ = 0;
 };
 
-/// Writes `trace` as a v2 file via TraceWriter: temp file + atomic rename,
-/// so failure at any point leaves a previous trace at `path` intact.
+/// Writes `trace` via TraceWriter: temp file + atomic rename, so failure at
+/// any point leaves a previous trace at `path` intact.
 bool write_trace_file(const std::string& path, std::span<const Synopsis> trace);
 
-/// Loads an entire trace file (v1 or v2) through TraceReader. nullopt when
-/// the file cannot be opened or the magic is unrecognized; lesser damage
+/// Loads an entire trace file through TraceReader. nullopt when the file
+/// cannot be opened or the magic is not a readable trace; lesser damage
 /// (corrupt blocks, torn tail) yields the recoverable records, tallied in
 /// `stats`.
 std::optional<std::vector<Synopsis>> read_trace_file(

@@ -21,6 +21,11 @@ inline void put_varint(std::uint64_t v, std::vector<std::uint8_t>& out) {
 /// encodings whose final byte carries bits beyond the 64th — those bits
 /// would otherwise be shifted out and silently dropped.
 inline bool get_varint(std::span<const std::uint8_t>& in, std::uint64_t& v) {
+  if (!in.empty() && in.front() < 0x80) {  // one byte: most synopsis fields
+    v = in.front();
+    in = in.subspan(1);
+    return true;
+  }
   v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (in.empty()) return false;

@@ -456,6 +456,10 @@ void SynopsisServer::io_loop() {
             truncation = false;
             break;
           }
+          // Publish as batches decode: a sender that keeps the socket full
+          // would otherwise overflow the pending queue before this loop
+          // ever reaches EAGAIN, shedding with the consumer idle.
+          publish_ready();
           continue;
         }
         if (n == 0) {  // peer closed

@@ -118,7 +118,8 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
   std::size_t pos = 0;
   if (magic_pending_) {
     const std::size_t have = std::min(buffer_.size(), sizeof kStreamMagic);
-    if (std::memcmp(buffer_.data(), kStreamMagic, have) != 0) {
+    // An empty buffer has a null data(): UB to memcmp from, even for 0 bytes.
+    if (have > 0 && std::memcmp(buffer_.data(), kStreamMagic, have) != 0) {
       error_ = WireError::kBadMagic;
       buffer_.clear();
       return false;

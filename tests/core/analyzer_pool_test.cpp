@@ -113,6 +113,52 @@ TEST(AnalyzerPool, ThreadCountDoesNotChangeVerdicts) {
   }
 }
 
+TEST(AnalyzerPool, LateSynopsesAreReattributedLikeSerialAfterABarrier) {
+  // 32 hosts have traffic in window 0 and one host also in window 1; the
+  // barrier closes both. Each host then reports a late never-seen flow that
+  // started in window 1: the serial detector folds all 32 into window 2, the
+  // oldest open window. A pool worker that held no window-1 traffic must do
+  // the same, not reopen its own already-closed window 1.
+  auto make_task = [](HostId host, std::vector<LogPointCount> points,
+                      UsTime start) {
+    Synopsis s;
+    s.host = host;
+    s.stage = 0;
+    s.start = start;
+    s.duration = ms(1);
+    s.log_points = std::move(points);
+    return s;
+  };
+  std::vector<Synopsis> training;
+  for (int i = 0; i < 1000; ++i)
+    training.push_back(make_task(static_cast<HostId>(i % 32), {{1, 1}, {2, 1}},
+                                 static_cast<UsTime>(i) * 100));
+  const auto model = OutlierModel::train(training);
+
+  auto run = [&](std::size_t threads) {
+    DetectorConfig config;
+    config.window = sec(1);
+    config.analyzer_threads = threads;
+    AnalyzerPool pool(&model, config);
+    for (HostId h = 0; h < 32; ++h)
+      pool.ingest(make_task(h, {{1, 1}, {2, 1}}, ms(100) + h));
+    pool.ingest(make_task(0, {{1, 1}, {2, 1}}, sec(1) + ms(100)));
+    auto out = pool.advance_to(sec(2));
+    for (HostId h = 0; h < 32; ++h)
+      pool.ingest(make_task(h, {{1, 1}, {3, 1}}, sec(1) + ms(500)));
+    const auto tail = pool.finish();
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  };
+  const auto serial = run(1);
+  ASSERT_EQ(serial.size(), 32u);
+  for (const auto& a : serial) {
+    EXPECT_EQ(a.window, 2u);
+    EXPECT_TRUE(a.due_to_new_signature);
+  }
+  EXPECT_EQ(dump(run(4)), dump(serial));
+}
+
 TEST(AnalyzerPool, SerialFallbacks) {
   const auto model = OutlierModel::train({});
   DetectorConfig config;

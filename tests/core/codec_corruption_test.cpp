@@ -1,8 +1,9 @@
-// Corruption / fuzz suite for every binary codec: varint, synopsis,
-// trace v1, trace v2, and the model image. The contract under test is
+// Corruption / fuzz suite for every binary codec: the CRC32C kernels,
+// varint, synopsis, trace, and the model image. The contract under test is
 // uniform: random byte mutations and truncations must decode to a clean
 // error (or skip, for framed traces) — never crash, never OOM, never
-// fabricate records. Runs under the asan preset in CI (ctest -L corruption).
+// fabricate records. Runs under the asan and ubsan presets in CI
+// (ctest -L corruption).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -68,6 +69,54 @@ TEST(Crc32c, KnownAnswerAndChaining) {
   auto copy = std::vector<std::uint8_t>(digits, digits + sizeof(digits));
   copy[3] ^= 0x10;
   EXPECT_NE(crc32c(copy), crc32c(digits));
+}
+
+TEST(Crc32c, KernelsMatchRfc3720Vectors) {
+  // RFC 3720 §B.4 CRC32C examples (as stored little-endian on the wire).
+  std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xFF), inc(32), dec(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    inc[i] = static_cast<std::uint8_t>(i);
+    dec[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::uint8_t scsi_read[48] = {
+      0x01, 0xC0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x18, 0x28, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  const auto hardware = crc32c_kernels::hardware();
+  for (const auto kernel :
+       {crc32c_kernels::Kernel{&crc32c_kernels::table}, hardware}) {
+    if (kernel == nullptr) continue;  // no SSE4.2 here: table only
+    EXPECT_EQ(kernel(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(kernel(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(kernel(inc, 0), 0x46DD794Eu);
+    EXPECT_EQ(kernel(dec, 0), 0x113FDB5Cu);
+    EXPECT_EQ(kernel(std::span(scsi_read), 0), 0xD9963A56u);
+  }
+}
+
+TEST(Crc32c, HardwareKernelMatchesTableAtEveryLengthAndOffset) {
+  const auto hardware = crc32c_kernels::hardware();
+  if (hardware == nullptr) GTEST_SKIP() << "no hardware CRC32C kernel";
+  saad::Rng rng(20);
+  std::vector<std::uint8_t> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len + offset <= buf.size() && len <= 1100;
+         ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      ASSERT_EQ(hardware(data, 0), crc32c_kernels::table(data, 0))
+          << "offset=" << offset << " len=" << len;
+      ASSERT_EQ(hardware(data, seed), crc32c_kernels::table(data, seed))
+          << "offset=" << offset << " len=" << len;
+      // Chaining: a split anywhere equals the one-shot sum.
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(hardware(data.subspan(cut), hardware(data.first(cut), seed)),
+                crc32c_kernels::table(data, seed))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
 }
 
 // ---- varint ----------------------------------------------------------------
@@ -164,25 +213,7 @@ TEST(SynopsisCorruption, TruncationsAlwaysFail) {
   }
 }
 
-// ---- trace v1 --------------------------------------------------------------
-
-TEST(TraceCorruption, V1MutationsNeverCrashAndNeverReject) {
-  saad::Rng rng(24);
-  const auto trace = sample_trace(40, 24);
-  const auto pristine = encode_trace(trace);
-  for (int trial = 0; trial < 500; ++trial) {
-    auto bytes = pristine;
-    mutate(bytes, rng);
-    TraceStats stats;
-    const auto decoded = decode_trace(bytes, &stats);
-    if (decoded.has_value()) {
-      // Magic intact: some prefix (possibly empty) was recovered.
-      EXPECT_LE(stats.bytes_discarded, bytes.size());
-    }
-  }
-}
-
-// ---- trace v2 --------------------------------------------------------------
+// ---- trace -----------------------------------------------------------------
 
 class TraceV2Corruption : public ::testing::Test {
  protected:

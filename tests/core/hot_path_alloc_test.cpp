@@ -1,0 +1,156 @@
+// Steady-state allocation pins for the analyzer hot path: reading a trace
+// block by block and ingesting into an open window must not touch the heap
+// once the buffers and tallies exist. This binary replaces the global
+// operator new to count calls, so it is its own test executable.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "common/rng.h"
+#include "core/detector.h"
+#include "core/trace_io.h"
+#include "testutil/temp_dir.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n, std::size_t align = 0) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0) n = 1;
+  return align <= alignof(std::max_align_t)
+             ? std::malloc(n)
+             : std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+void* counted_alloc_or_throw(std::size_t n, std::size_t align = 0) {
+  if (void* p = counted_alloc(n, align)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// Every replaceable form, so no allocation bypasses the count and every
+// block is released by the matching free().
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace saad::core {
+namespace {
+
+TEST(HotPathAllocations, TraceReaderNextAfterTheFirstBlock) {
+  testutil::TempDir tmp;
+  const std::string path = tmp.path("uniform.trc");
+  {
+    // Records of one encoded size: every full block carries the same bytes,
+    // records and points, so the first block sizes every buffer.
+    TraceWriter::Options options;
+    options.block_bytes = 1024;
+    TraceWriter writer(path, options);
+    for (int i = 0; i < 2000; ++i) {
+      Synopsis s;
+      s.host = static_cast<HostId>(i % 4);
+      s.stage = static_cast<StageId>(i % 8);
+      s.uid = 1000 + static_cast<TaskUid>(i);
+      s.start = sec(2) + static_cast<UsTime>(i) * 1000;
+      s.duration = ms(3);
+      s.log_points = {{10, 1}, {11, 2}, {15, 1}, {40, 7}};
+      ASSERT_TRUE(writer.append(s));
+    }
+    ASSERT_TRUE(writer.finalize());
+  }
+  TraceReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  Synopsis s;
+  ASSERT_TRUE(reader.next(s));
+  const std::uint64_t before = g_allocations.load();
+  std::size_t read = 1;
+  while (reader.next(s)) ++read;
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(read, 2000u);
+  EXPECT_GT(reader.stats().blocks_total, 10u);
+}
+
+TEST(HotPathAllocations, DetectorReingestIntoAnOpenWindow) {
+  Rng rng(3);
+  auto task = [&](StageId stage, bool rare, UsTime start) {
+    Synopsis s;
+    s.host = static_cast<HostId>(rng.next_below(8));
+    s.stage = stage;
+    s.start = start;
+    s.duration = static_cast<UsTime>(rng.lognormal_median(ms(5), 0.3));
+    const auto base = static_cast<LogPointId>(stage * 10);
+    s.log_points = {{base, 1}, {static_cast<LogPointId>(base + 1), 2}};
+    if (rare) s.log_points.push_back({static_cast<LogPointId>(base + 2), 1});
+    return s;
+  };
+  std::vector<Synopsis> training;
+  for (int i = 0; i < 20000; ++i)
+    training.push_back(task(static_cast<StageId>(i % 4), rng.chance(0.005),
+                            static_cast<UsTime>(i) * 100));
+  const auto model = OutlierModel::train(training);
+
+  // Known signatures only, common and rare (flow outliers), some slow.
+  std::vector<Synopsis> window;
+  for (int i = 0; i < 5000; ++i) {
+    Synopsis s = task(static_cast<StageId>(i % 4), rng.chance(0.05),
+                      static_cast<UsTime>(i) * 10);
+    if (rng.chance(0.05)) s.duration *= 10;
+    window.push_back(std::move(s));
+  }
+  AnomalyDetector detector(&model, {});
+  for (const auto& s : window) detector.ingest(s);
+  const std::uint64_t before = g_allocations.load();
+  for (const auto& s : window) detector.ingest(s);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(detector.ingested(), 2 * window.size());
+  EXPECT_FALSE(detector.finish().empty());  // the slow tail is anomalous
+}
+
+}  // namespace
+}  // namespace saad::core

@@ -79,11 +79,12 @@ TEST(ModelIo, RoundTripPreservesConfigAndStats) {
                    sm_orig->train_flow_outlier_rate);
   EXPECT_EQ(sm->signatures.size(), sm_orig->signatures.size());
   for (const auto& [sig, ss] : sm_orig->signatures) {
-    const auto it = sm->signatures.find(sig);
-    ASSERT_NE(it, sm->signatures.end());
-    EXPECT_EQ(it->second.task_count, ss.task_count);
-    EXPECT_EQ(it->second.duration_threshold, ss.duration_threshold);
-    EXPECT_DOUBLE_EQ(it->second.train_perf_outlier_rate,
+    const SignatureId id = sm->signatures.find(sig);
+    ASSERT_NE(id, kNoSignature);
+    const SignatureStats& loaded_ss = sm->signatures[id].second;
+    EXPECT_EQ(loaded_ss.task_count, ss.task_count);
+    EXPECT_EQ(loaded_ss.duration_threshold, ss.duration_threshold);
+    EXPECT_DOUBLE_EQ(loaded_ss.train_perf_outlier_rate,
                      ss.train_perf_outlier_rate);
   }
 }

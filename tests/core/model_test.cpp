@@ -27,6 +27,12 @@ Synopsis make_synopsis(StageId stage, std::vector<LogPointId> points,
   return s;
 }
 
+/// The trained stats of `sig` in `sm`, or null.
+const SignatureStats* trained(const StageModel* sm, const Signature& sig) {
+  const SignatureId id = sm->signatures.find(sig);
+  return id == kNoSignature ? nullptr : &sm->signatures[id].second;
+}
+
 /// A training trace mimicking Fig. 4: 99% normal flow at ~10ms, ~1% slow,
 /// 0.1% rare flow with an extra log point.
 std::vector<Synopsis> figure4_trace(std::size_t n, saad::Rng& rng) {
@@ -53,12 +59,12 @@ TEST(OutlierModel, RareSignatureIsFlowOutlier) {
 
   const StageModel* sm = model.stage_model(0);
   ASSERT_NE(sm, nullptr);
-  const auto rare = sm->signatures.find(Signature({1, 2, 3, 4, 5}));
-  const auto common = sm->signatures.find(Signature({1, 2, 4, 5}));
-  ASSERT_NE(rare, sm->signatures.end());
-  ASSERT_NE(common, sm->signatures.end());
-  EXPECT_TRUE(rare->second.flow_outlier);
-  EXPECT_FALSE(common->second.flow_outlier);
+  const auto* rare = trained(sm, Signature({1, 2, 3, 4, 5}));
+  const auto* common = trained(sm, Signature({1, 2, 4, 5}));
+  ASSERT_NE(rare, nullptr);
+  ASSERT_NE(common, nullptr);
+  EXPECT_TRUE(rare->flow_outlier);
+  EXPECT_FALSE(common->flow_outlier);
   EXPECT_NEAR(sm->train_flow_outlier_rate, 0.001, 0.002);
 }
 
@@ -67,12 +73,12 @@ TEST(OutlierModel, DurationThresholdNearTrainedQuantile) {
   const auto trace = figure4_trace(20000, rng);
   const OutlierModel model = OutlierModel::train(trace);
   const StageModel* sm = model.stage_model(0);
-  const auto common = sm->signatures.find(Signature({1, 2, 4, 5}));
-  ASSERT_NE(common, sm->signatures.end());
-  EXPECT_TRUE(common->second.perf_applicable);
+  const auto* common = trained(sm, Signature({1, 2, 4, 5}));
+  ASSERT_NE(common, nullptr);
+  EXPECT_TRUE(common->perf_applicable);
   // p99 of lognormal(median 10ms, sigma .15) ~ 10ms * exp(2.326*.15) ~ 14.2ms.
-  EXPECT_NEAR(to_ms(common->second.duration_threshold), 14.2, 1.5);
-  EXPECT_NEAR(common->second.train_perf_outlier_rate, 0.01, 0.005);
+  EXPECT_NEAR(to_ms(common->duration_threshold), 14.2, 1.5);
+  EXPECT_NEAR(common->train_perf_outlier_rate, 0.01, 0.005);
 }
 
 TEST(OutlierModel, ClassifyNormalTask) {
@@ -152,9 +158,9 @@ TEST(OutlierModel, UnstableDurationsExcludedByKFold) {
   }
   const OutlierModel model = OutlierModel::train(trace);
   const auto* sm = model.stage_model(1);
-  const auto it = sm->signatures.find(Signature({1, 2}));
-  ASSERT_NE(it, sm->signatures.end());
-  EXPECT_FALSE(it->second.perf_applicable);
+  const auto* it = trained(sm, Signature({1, 2}));
+  ASSERT_NE(it, nullptr);
+  EXPECT_FALSE(it->perf_applicable);
 }
 
 TEST(OutlierModel, FlowShareThresholdConfigurable) {
@@ -167,13 +173,13 @@ TEST(OutlierModel, FlowShareThresholdConfigurable) {
   strict.flow_share_threshold = 0.2;  // anything under 20% share is rare
   const OutlierModel m1 = OutlierModel::train(trace, strict);
   EXPECT_TRUE(
-      m1.stage_model(0)->signatures.at(Signature({2})).flow_outlier);
+      trained(m1.stage_model(0), Signature({2}))->flow_outlier);
 
   TrainingConfig loose;
   loose.flow_share_threshold = 0.05;
   const OutlierModel m2 = OutlierModel::train(trace, loose);
   EXPECT_FALSE(
-      m2.stage_model(0)->signatures.at(Signature({2})).flow_outlier);
+      trained(m2.stage_model(0), Signature({2}))->flow_outlier);
 }
 
 TEST(OutlierModel, PoolsHostsIntoOneStageModel) {
@@ -192,6 +198,48 @@ TEST(OutlierModel, EmptyTraceYieldsEmptyModel) {
   const OutlierModel model = OutlierModel::train({});
   EXPECT_EQ(model.num_stages(), 0u);
   EXPECT_EQ(model.stage_model(0), nullptr);
+}
+
+TEST(SignatureTable, IdsFollowSignatureOrderAndFirstRepeatWins) {
+  SignatureStats first, second;
+  first.task_count = 1;
+  second.task_count = 2;
+  const SignatureTable table({{Signature({4, 9}), {}},
+                              {Signature({1, 2, 3}), first},
+                              {Signature(), {}},
+                              {Signature({1, 2, 3}), second},
+                              {Signature({1, 5}), {}}});
+  ASSERT_EQ(table.size(), 4u);
+  for (SignatureId id = 1; id < table.size(); ++id)
+    EXPECT_LT(table[id - 1].first, table[id].first);
+  const SignatureId id = table.find(Signature({1, 2, 3}));
+  ASSERT_NE(id, kNoSignature);
+  EXPECT_EQ(table[id].second.task_count, 1u);
+  EXPECT_EQ(table.find(Signature()), 0u);
+  EXPECT_EQ(table.find(Signature({1, 2})), kNoSignature);
+  EXPECT_EQ(SignatureTable().find(Signature({1})), kNoSignature);
+}
+
+TEST(SignatureTable, SynopsisPointListsFindTheirSignature) {
+  std::vector<SignatureTable::Entry> entries;
+  for (LogPointId base = 0; base < 200; ++base)
+    entries.push_back({Signature({base, static_cast<LogPointId>(base + 7)}), {}});
+  const SignatureTable table(std::move(entries));
+  for (LogPointId base = 0; base < 200; ++base) {
+    const auto expected = table.find(
+        Signature({base, static_cast<LogPointId>(base + 7)}));
+    ASSERT_NE(expected, kNoSignature);
+    const auto b = static_cast<LogPointId>(base + 7);
+    // Counts do not matter; order and repeats fold into the point set.
+    const std::vector<LogPointCount> sorted = {{base, 3}, {b, 1}};
+    const std::vector<LogPointCount> reversed = {{b, 1}, {base, 3}};
+    const std::vector<LogPointCount> repeated = {{base, 1}, {base, 2}, {b, 1}};
+    EXPECT_EQ(table.find(sorted), expected);
+    EXPECT_EQ(table.find(reversed), expected);
+    EXPECT_EQ(table.find(repeated), expected);
+    const std::vector<LogPointCount> subset = {{base, 1}};
+    EXPECT_EQ(table.find(subset), kNoSignature);
+  }
 }
 
 }  // namespace

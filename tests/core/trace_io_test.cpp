@@ -64,68 +64,60 @@ std::vector<Synopsis> drain(TraceReader& reader) {
   return out;
 }
 
-// ---- v1 buffer codec -------------------------------------------------------
+// ---- round trips -----------------------------------------------------------
 
 TEST(TraceIo, EncodeDecodeRoundTrip) {
-  const auto trace = sample_trace(500);
-  const auto bytes = encode_trace(trace);
-  TraceStats stats;
-  const auto decoded = decode_trace(bytes, &stats);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i)
-    ASSERT_EQ((*decoded)[i], trace[i]) << "record " << i;
-  EXPECT_EQ(stats.version, 1);
-  EXPECT_EQ(stats.synopses, trace.size());
-  EXPECT_EQ(stats.bytes_discarded, 0u);
-  EXPECT_FALSE(stats.truncated_tail);
+  // next() refills one Synopsis in place: point lists that shrink and grow
+  // from record to record must come back exact, across block boundaries.
+  const auto path = temp_path("saad_reuse_roundtrip.trc");
+  auto trace = sample_trace(500);
+  for (std::size_t i = 0; i < trace.size(); i += 7) trace[i].log_points.clear();
+  TraceWriter::Options options;
+  options.block_bytes = 512;
+  {
+    TraceWriter writer(path, options);
+    for (const auto& s : trace) ASSERT_TRUE(writer.append(s));
+    ASSERT_TRUE(writer.finalize());
+  }
+  TraceReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  Synopsis s;
+  std::size_t i = 0;
+  while (reader.next(s)) {
+    ASSERT_LT(i, trace.size());
+    ASSERT_EQ(s, trace[i]) << "record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, trace.size());
+  EXPECT_EQ(reader.stats().synopses, trace.size());
+  EXPECT_EQ(reader.stats().bytes_discarded, 0u);
+  EXPECT_FALSE(reader.stats().truncated_tail);
+  fs::remove(path);
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
-  const auto bytes = encode_trace({});
-  const auto decoded = decode_trace(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
+  const auto path = temp_path("saad_empty.trc");
+  ASSERT_TRUE(write_trace_file(path, {}));
+  const auto loaded = read_trace_file(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->empty());
+  fs::remove(path);
 }
 
 TEST(TraceIo, RejectsBadMagic) {
-  std::vector<std::uint8_t> junk = {'b', 'o', 'g', 'u', 's', '!', '!', '!'};
-  EXPECT_FALSE(decode_trace(junk).has_value());
-  EXPECT_FALSE(decode_trace({}).has_value());
+  const auto path = temp_path("saad_bogus.trc");
+  write_bytes(path, std::vector<std::uint8_t>{'b', 'o', 'g', 'u', 's', '!',
+                                              '!', '!'});
+  TraceReader reader(path);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.version(), 0);
+  EXPECT_FALSE(read_trace_file(path).has_value());
+  write_bytes(path, std::vector<std::uint8_t>{});
+  EXPECT_FALSE(read_trace_file(path).has_value());
+  fs::remove(path);
 }
 
-TEST(TraceIo, TruncatedV1RecoversCompleteRecordPrefix) {
-  const auto trace = sample_trace(10);
-  auto bytes = encode_trace(trace);
-  bytes.resize(bytes.size() - 3);  // chop mid-record
-  TraceStats stats;
-  const auto decoded = decode_trace(bytes, &stats);
-  ASSERT_TRUE(decoded.has_value());
-  // Every record before the torn one is recovered bit-identically.
-  ASSERT_GE(decoded->size(), 9u);
-  for (std::size_t i = 0; i < 9; ++i)
-    ASSERT_EQ((*decoded)[i], trace[i]) << "record " << i;
-  EXPECT_TRUE(stats.truncated_tail);
-  EXPECT_GT(stats.bytes_discarded, 0u);
-}
-
-TEST(TraceIo, V1EveryTruncationPointRecoversAPrefix) {
-  const auto trace = sample_trace(20);
-  const auto bytes = encode_trace(trace);
-  for (std::size_t cut = 8; cut < bytes.size(); ++cut) {
-    TraceStats stats;
-    const auto decoded =
-        decode_trace(std::span(bytes.data(), cut), &stats);
-    ASSERT_TRUE(decoded.has_value()) << "cut=" << cut;
-    ASSERT_LE(decoded->size(), trace.size());
-    // Recovered records must be a bit-identical prefix unless the cut
-    // landed exactly on a record boundary mid-way (then there is no tail).
-    for (std::size_t i = 0; i < decoded->size() && i < trace.size(); ++i)
-      ASSERT_EQ((*decoded)[i], trace[i]) << "cut=" << cut << " record " << i;
-  }
-}
-
-// ---- v2 writer/reader ------------------------------------------------------
+// ---- writer/reader ---------------------------------------------------------
 
 TEST(TraceV2, WriterReaderRoundTripAcrossManyBlocks) {
   const auto path = temp_path("saad_v2_roundtrip.trc");
@@ -333,31 +325,22 @@ TEST(TraceIo, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, V1FilesWrittenBySeedCodeStillLoad) {
+TEST(TraceIo, V1FilesAreRefused) {
+  // A v1 image (magic + back-to-back records, as older builds wrote) is
+  // recognized — so tools can say why — but no longer read.
   const auto path = temp_path("saad_trace_v1.trc");
-  const auto trace = sample_trace(100);
-  write_bytes(path, encode_trace(trace));  // raw v1 image, as the seed wrote
-  TraceStats stats;
-  const auto loaded = read_trace_file(path, &stats);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, trace);
-  EXPECT_EQ(stats.version, 1);
-  EXPECT_EQ(stats.bytes_discarded, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, TornV1FileRecoversPrefix) {
-  const auto path = temp_path("saad_trace_v1_torn.trc");
-  const auto trace = sample_trace(100);
-  auto bytes = encode_trace(trace);
-  bytes.resize(bytes.size() - 4);
+  const char magic[8] = {'S', 'A', 'A', 'D', 'T', 'R', 'C', '1'};
+  std::vector<std::uint8_t> bytes(magic, magic + sizeof(magic));
+  for (const auto& s : sample_trace(100)) encode_synopsis(s, bytes);
   write_bytes(path, bytes);
+  TraceReader reader(path);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.version(), 1);
+  Synopsis s;
+  EXPECT_FALSE(reader.next(s));
   TraceStats stats;
-  const auto loaded = read_trace_file(path, &stats);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_GE(loaded->size(), 99u);
-  for (std::size_t i = 0; i < 99; ++i) ASSERT_EQ((*loaded)[i], trace[i]);
-  EXPECT_TRUE(stats.truncated_tail);
+  EXPECT_FALSE(read_trace_file(path, &stats).has_value());
+  EXPECT_EQ(stats.version, 1);
   std::remove(path.c_str());
 }
 

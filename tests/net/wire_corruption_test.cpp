@@ -392,7 +392,9 @@ TEST_F(ServerCorruption, ServerStillServesAfterAbuse) {
   }
   {
     auto bytes = hello_prefix();
-    bytes.resize(bytes.size() - 3);  // truncated hello... mid-frame FIN
+    // Truncated hello... mid-frame FIN. erase, not resize(size() - 3): GCC
+    // 12's -Wstringop-overflow misreads the shrink as a huge grow.
+    bytes.erase(bytes.end() - 3, bytes.end());
     const int fd = dial();
     send_bytes(fd, bytes);
     ::close(fd);

@@ -202,10 +202,14 @@ int main(int argc, char** argv) {
   }
   std::optional<std::vector<saad::core::Synopsis>> trace;
   if (!trace_path.empty()) {
-    trace = saad::core::read_trace_file(trace_path);
+    saad::core::TraceStats stats;
+    trace = saad::core::read_trace_file(trace_path, &stats);
     if (!trace) {
-      std::fprintf(stderr, "saad_lint: cannot read trace %s\n",
-                   trace_path.c_str());
+      std::fprintf(stderr, "saad_lint: cannot read trace %s%s\n",
+                   trace_path.c_str(),
+                   stats.version == 1
+                       ? " (a v1 SAADTRC1 trace, no longer supported)"
+                       : "");
       return 2;
     }
   }

@@ -3,7 +3,7 @@
 //
 //   record  run a simulated cluster, stream the synopsis trace to disk
 //           (crash-safe v2 framing) + the log template dictionary (and
-//           optionally inject a fault)
+//           optionally inject a fault; Cassandra only)
 //   train   build an outlier model from a fault-free trace
 //   detect  replay a trace against a model; print anomalies, optionally
 //           write a self-contained HTML report
@@ -20,9 +20,9 @@
 //           recorded or accelerated pacing (net/client.h); --skip/--limit
 //           select a synopsis range (for staged/crash-restart runs)
 //
-// train/detect/info stream the trace through TraceReader block by block
-// (v1 and v2), so damaged files degrade to a warning about skipped blocks
-// or a torn tail instead of a hard failure.
+// train/detect/info stream the trace through TraceReader block by block,
+// so damaged files degrade to a warning about skipped blocks or a torn tail
+// instead of a hard failure. Legacy v1 traces are refused with a message.
 //
 // Example session:
 //   saad_offline record --system=cassandra --minutes=6
@@ -285,6 +285,19 @@ class LiveStats {
   std::map<std::size_t, std::pair<std::size_t, std::size_t>> anomalies_;
 };
 
+// Why `reader` cannot be used: a legacy v1 file is named as such.
+void report_unreadable_trace(const char* cmd, const std::string& path,
+                             const core::TraceReader& reader) {
+  if (reader.version() == 1) {
+    std::fprintf(stderr,
+                 "%s: --trace=%s is a v1 (SAADTRC1) trace, which is no longer "
+                 "supported; record it again\n",
+                 cmd, path.c_str());
+  } else {
+    std::fprintf(stderr, "%s: cannot read --trace=%s\n", cmd, path.c_str());
+  }
+}
+
 // One stderr line per kind of damage a read pass tolerated, so a recovered
 // trace never looks pristine.
 void warn_trace_damage(const char* cmd, const core::TraceStats& stats) {
@@ -305,6 +318,17 @@ void warn_trace_damage(const char* cmd, const core::TraceStats& stats) {
 int cmd_record(const Args& args) {
   if (args.trace.empty()) {
     std::fprintf(stderr, "record: --trace=<out> required\n");
+    return 2;
+  }
+  // The faults act on lsm::Wal appends and lsm::Store flushes. MiniHBase
+  // writes its WAL and flushes as HDFS block writes, which neither reaches,
+  // so its trace would silently be fault-free.
+  if (args.system == "hbase" && !args.fault.empty()) {
+    std::fprintf(stderr,
+                 "record: --fault=%s is not supported with --system=hbase "
+                 "(HBase writes its WAL through HDFS, out of the fault's "
+                 "reach)\n",
+                 args.fault.c_str());
     return 2;
   }
   sim::Engine engine;
@@ -426,7 +450,7 @@ int cmd_train(const Args& args) {
   // on everything recoverable, with the damage reported loudly.
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
-    std::fprintf(stderr, "train: cannot read --trace=%s\n", args.trace.c_str());
+    report_unreadable_trace("train", args.trace, reader);
     return 1;
   }
   std::vector<core::Synopsis> trace;
@@ -450,8 +474,7 @@ int cmd_train(const Args& args) {
 int cmd_detect(const Args& args) {
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
-    std::fprintf(stderr, "detect: cannot read --trace=%s\n",
-                 args.trace.c_str());
+    report_unreadable_trace("detect", args.trace, reader);
     return 1;
   }
   const auto model_bytes = read_file(args.model);
@@ -1091,8 +1114,7 @@ int cmd_replay(const Args& args) {
   }
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
-    std::fprintf(stderr, "replay: cannot read --trace=%s\n",
-                 args.trace.c_str());
+    report_unreadable_trace("replay", args.trace, reader);
     return 1;
   }
   if (args.pace != "fast" && args.pace != "recorded") {
@@ -1175,7 +1197,7 @@ int cmd_replay(const Args& args) {
 int cmd_info(const Args& args) {
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
-    std::fprintf(stderr, "info: cannot read --trace=%s\n", args.trace.c_str());
+    report_unreadable_trace("info", args.trace, reader);
     return 1;
   }
   UsTime first = 0, last = 0;
@@ -1195,17 +1217,12 @@ int cmd_info(const Args& args) {
               "minutes, %zu stages\n",
               stats.version, count, static_cast<double>(bytes) / 1e6,
               to_min(last - first), per_stage.size());
-  if (stats.version == 2) {
-    std::printf("integrity: %llu blocks, %llu corrupt, %llu bytes "
-                "discarded%s\n",
-                static_cast<unsigned long long>(stats.blocks_total),
-                static_cast<unsigned long long>(stats.blocks_corrupt),
-                static_cast<unsigned long long>(stats.bytes_discarded),
-                stats.truncated_tail ? ", torn tail" : "");
-  } else if (stats.bytes_discarded > 0) {
-    std::printf("integrity: %llu trailing bytes discarded (torn v1 tail)\n",
-                static_cast<unsigned long long>(stats.bytes_discarded));
-  }
+  std::printf("integrity: %llu blocks, %llu corrupt, %llu bytes "
+              "discarded%s\n",
+              static_cast<unsigned long long>(stats.blocks_total),
+              static_cast<unsigned long long>(stats.blocks_corrupt),
+              static_cast<unsigned long long>(stats.bytes_discarded),
+              stats.truncated_tail ? ", torn tail" : "");
   TextTable table({"reader metric", "value"});
   table.add_row({"records decoded",
                  TextTable::num(static_cast<std::int64_t>(count))});
