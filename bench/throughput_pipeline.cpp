@@ -1,23 +1,20 @@
-// Parallel analyzer pipeline throughput: synopses/sec ingested *and*
-// analyzed, end to end, at 1/2/4/8 analyzer threads.
-//
-// The pipeline under test is the production shape:
+// Analyzer pipeline throughput: synopses/sec ingested *and* analyzed, end to
+// end, through the production shape:
 //
 //   P producer threads --batched Producer handles--> sharded SynopsisChannel
-//     --single consumer drain--> AnalyzerPool(analyzer_threads = T)
+//     --single consumer drain--> analyzer (one serial AnomalyDetector)
 //     --periodic advance_to + final finish--> anomalies
 //
-// The workload is synthetic (generated once, identical for every T): a
-// trained model over S stages x H hosts with a handful of signatures per
-// stage, then a detection stream spanning many windows with occasional rare
-// signatures and stretched durations so both the flow and the performance
-// tests actually run. Producers replay time-ordered slices of the stream.
+// The workload is synthetic and seeded: a trained model over S stages x H
+// hosts with a handful of signatures per stage, then a detection stream
+// spanning many windows with occasional rare signatures and stretched
+// durations so both the flow and the performance tests actually run.
+// Producers replay time-ordered slices of the stream.
 //
-// Scaling expectation: on a machine with >= 4 cores, 4 analyzer threads
-// should sustain >= 2x the 1-thread synopses/sec (the per-synopsis cost is
-// dominated by classification + window bookkeeping, which the pool
-// partitions). On fewer cores the ratio degrades toward 1x — the bench
-// prints hardware_concurrency so the number can be read in context.
+// It prints one row, and serves two purposes: the SAAD_METRICS overhead
+// experiment (run it from a default build and from -DSAAD_METRICS=OFF and
+// compare synopses/sec) and a CI smoke of the producers -> channel ->
+// analyzer path.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -102,21 +99,18 @@ Workload build_workload(std::uint64_t seed, std::size_t training,
 struct RunResult {
   double seconds = 0;
   std::size_t anomalies = 0;
-  std::uint64_t ingested = 0;
 };
 
 /// `live` enables periodic advance_to at a drained-content watermark — the
 /// production shape, but window attribution of stragglers then depends on
 /// real arrival timing, so anomaly counts can vary run to run. The default
 /// (finish-only) closes windows once at the end: same tests, same
-/// throughput path, and counts that are comparable across thread counts.
-RunResult run_pipeline(const Workload& w, std::size_t analyzer_threads,
-                       UsTime window, bool live) {
+/// throughput path, and counts that are comparable across runs.
+RunResult run_pipeline(const Workload& w, UsTime window, bool live) {
   core::SynopsisChannel channel;
   core::DetectorConfig config;
   config.window = window;
-  config.analyzer_threads = analyzer_threads;
-  core::AnalyzerPool pool(&w.model, config);
+  core::AnalyzerPool analyzer(&w.model, config);
 
   const auto begin = std::chrono::steady_clock::now();
   std::vector<std::thread> producers;
@@ -142,25 +136,25 @@ RunResult run_pipeline(const Workload& w, std::size_t analyzer_threads,
     drained += batch.size();
     for (const auto& s : batch) {
       watermark = std::max(watermark, s.start);
-      pool.ingest(s);
+      analyzer.ingest(s);
     }
     // Producers advance the timeline in lockstep; two windows of slack keep
     // stragglers out of closed windows.
     if (live && watermark > 2 * window) {
-      auto produced = pool.advance_to(watermark - 2 * window);
+      auto produced = analyzer.advance_to(watermark - 2 * window);
       anomalies.insert(anomalies.end(), produced.begin(), produced.end());
     }
   }
   for (auto& p : producers) p.join();
   batch.clear();
   channel.drain(batch);
-  for (const auto& s : batch) pool.ingest(s);
-  auto tail = pool.finish();
+  for (const auto& s : batch) analyzer.ingest(s);
+  auto tail = analyzer.finish();
   anomalies.insert(anomalies.end(), tail.begin(), tail.end());
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
           .count();
-  return {seconds, anomalies.size(), pool.ingested()};
+  return {seconds, anomalies.size()};
 }
 
 }  // namespace
@@ -179,10 +173,9 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.get_int("repeats", 3));
   const bool live = flags.get_int("live", 0) != 0;
 
-  std::printf("=== Parallel analyzer pipeline throughput ===\n\n");
-  // The synopses/sec here double as the SAAD_METRICS overhead experiment:
-  // run once from a default build and once from -DSAAD_METRICS=OFF and
-  // compare (the acceptance bar is <= 3% difference).
+  std::printf("=== Analyzer pipeline throughput ===\n\n");
+  // The SAAD_METRICS overhead experiment compares this row between a
+  // default and a -DSAAD_METRICS=OFF build (the acceptance bar is <= 3%).
   std::printf("self-telemetry: SAAD_METRICS=%s\n",
               saad::obs::kMetricsEnabled ? "ON" : "OFF");
   std::printf("hardware threads: %u, producers: %zu, stream: %zu synopses, "
@@ -195,23 +188,14 @@ int main(int argc, char** argv) {
 
   const Workload w = build_workload(seed, training, detection, producers);
 
-  const std::size_t thread_counts[] = {1, 2, 4, 8};
-  double base_rate = 0;
-  std::printf("%-18s %14s %12s %10s %10s\n", "analyzer_threads",
-              "synopses/sec", "seconds", "anomalies", "speedup");
-  for (std::size_t t : thread_counts) {
-    RunResult best{};
-    for (int r = 0; r < repeats; ++r) {
-      const RunResult run = run_pipeline(w, t, window, live);
-      if (best.seconds == 0 || run.seconds < best.seconds) best = run;
-    }
-    const double rate = static_cast<double>(w.total) / best.seconds;
-    if (t == 1) base_rate = rate;
-    std::printf("%-18zu %14.0f %12.3f %10zu %9.2fx\n", t, rate, best.seconds,
-                best.anomalies, rate / base_rate);
+  RunResult best{};
+  for (int r = 0; r < repeats; ++r) {
+    const RunResult run = run_pipeline(w, window, live);
+    if (best.seconds == 0 || run.seconds < best.seconds) best = run;
   }
-  std::printf("\n(speedup is vs the serial analyzer on this machine; the "
-              "partition is by hash(host, stage), so available parallelism "
-              "also caps at the number of active (host, stage) pairs)\n");
+  std::printf("%14s %12s %10s\n", "synopses/sec", "seconds", "anomalies");
+  std::printf("%14.0f %12.3f %10zu\n",
+              static_cast<double>(w.total) / best.seconds, best.seconds,
+              best.anomalies);
   return 0;
 }

@@ -1,95 +1,53 @@
-// Multi-threaded windowed detection (scales the paper's "centralized
-// analyzer" across cores without changing a single verdict).
+// The analyzer behind `detect`, `serve` and Monitor: one AnomalyDetector plus
+// what a long-lived consumer needs on top of it — a model swap staged for the
+// next window boundary, the model epoch, the close cursor a restore recovered,
+// and the saad_analyzer_* metrics.
 //
-// Every statistical test the detector runs is keyed per (host, stage) — the
-// flow test — or per (host, stage, signature) — the performance test. Nothing
-// crosses those keys, so closed windows can be fanned out across worker
-// threads that each own a private AnomalyDetector over a fixed hash partition
-// of (host, stage). Because the partition function is a pure function of the
-// key, a given (host, stage) always lands on the same worker, every worker
-// sees exactly the serial detector's per-key input in the serial order, and
-// the per-key statistics — hence every test statistic and p-value — are
-// bit-identical to the serial path.
-//
-// Output ordering: the serial detector emits, per closed window in ascending
-// order, one flow and/or one performance anomaly per (host, stage) in
-// ascending key order. At most one anomaly exists per (window, host, stage,
-// kind), so sorting the merged worker outputs by exactly that tuple
-// reconstructs the serial order — the determinism the golden test pins.
-//
-// The one intentionally unsupported combination: DetectorConfig::bonferroni
-// counts hypothesis tests *across the whole window*, which a partition cannot
-// see locally; with bonferroni the pool falls back to one inline serial
-// detector (still correct, just not parallel).
-//
-// Threading model: ingest() is called by the single analyzer/consumer thread;
-// it appends to a caller-side per-worker buffer (no locks) and hands full
-// buffers to the worker's FIFO job queue, so classification and window
-// bookkeeping overlap with the caller's next channel drain. advance_to() and
-// finish() flush all buffers, enqueue a close job on every worker, wait for
-// the barrier, and merge.
+// Like the paper's centralized analyzer it is serial: every call runs on the
+// one thread that drains the synopsis channel (DESIGN.md §6 says why there is
+// no analyzer thread pool). The class keeps its name, and threads(), only for
+// callers that still compile against them.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "core/detector.h"
-
-namespace saad::obs {
-class Counter;
-}
 
 namespace saad::core {
 
 class AnalyzerPool {
  public:
-  /// Spawns config.analyzer_threads workers when analyzer_threads >= 2
-  /// (0 means std::thread::hardware_concurrency()); with analyzer_threads
-  /// == 1 (or bonferroni set) no threads are spawned and every call runs an
-  /// inline AnomalyDetector — the exact serial path.
+  /// config.analyzer_threads is ignored.
   AnalyzerPool(const OutlierModel* model, DetectorConfig config = {});
-  ~AnalyzerPool();
 
   AnalyzerPool(const AnalyzerPool&) = delete;
   AnalyzerPool& operator=(const AnalyzerPool&) = delete;
 
-  /// Routes the synopsis to its (host, stage) partition. Single caller
-  /// thread (the channel's single consumer).
   void ingest(const Synopsis& synopsis);
 
-  /// Closes every window ending at or before `now` on all partitions and
-  /// returns the merged anomalies in serial (window, host, stage, kind)
-  /// order. Blocks until all workers have drained their queues.
+  /// Closes every window ending at or before `now` and returns its anomalies
+  /// in (window, host, stage, kind) order, then applies a staged model swap.
   std::vector<Anomaly> advance_to(UsTime now);
 
-  /// Closes all remaining windows on all partitions.
+  /// Closes all remaining windows, then applies a staged model swap.
   std::vector<Anomaly> finish();
 
-  const DetectorConfig& config() const { return config_; }
-  /// Actual parallelism (1 when running inline).
-  std::size_t threads() const { return workers_.empty() ? 1 : workers_.size(); }
-  std::uint64_t ingested() const { return ingested_; }
+  const DetectorConfig& config() const { return detector_.config(); }
+  /// Always 1: the analyzer is serial.
+  std::size_t threads() const { return 1; }
 
   // ---- Warm-restart state (checkpoint.h) -----------------------------------
 
-  /// Serializes the pool's detection state as ONE canonical AnomalyDetector
-  /// state: per-worker states are folded back together (partitions own
-  /// disjoint (host, stage) keys), so the bytes are identical for any thread
-  /// count — a checkpoint taken at threads=4 restores into threads=1 and
-  /// vice versa. Barriers on all workers (call it between batches, like
-  /// advance_to).
-  void save_state(std::vector<std::uint8_t>& out);
+  /// The detector's canonical state (AnomalyDetector::save_state).
+  void save_state(std::vector<std::uint8_t>& out) const {
+    detector_.save_state(out);
+  }
 
-  /// Restores state produced by save_state() (possibly under a different
-  /// thread count), splitting it across the current partitions. Call before
-  /// the first ingest(); false on malformed input. The model is not part of
-  /// the state — construct the pool over the restored model first.
+  /// Restores state produced by save_state(). Call before the first
+  /// ingest(); false on malformed input. The model is not part of the state —
+  /// construct the analyzer over the restored model first.
   bool restore_state(std::span<const std::uint8_t> in);
 
   /// Close cursor recovered by the last restore_state() (0 before): the
@@ -98,70 +56,27 @@ class AnalyzerPool {
 
   /// Stages `model` to replace the current one. The swap applies at the end
   /// of the next advance_to()/finish() — a window boundary — so every
-  /// verdict stream position sees exactly one model and verdicts stay
-  /// bit-identical for any thread count. `model` must stay alive until the
-  /// pool is destroyed or swapped again; the previously bound model may be
-  /// freed once the applying advance_to()/finish() returns. Staging twice
-  /// before a boundary keeps only the newest model (one epoch bump).
+  /// verdict stream position sees exactly one model. `model` must stay alive
+  /// until the analyzer is destroyed or swapped again; the previously bound
+  /// model may be freed once the applying advance_to()/finish() returns.
+  /// Staging twice before a boundary keeps only the newest model (one epoch
+  /// bump).
   void swap_model(const OutlierModel* model);
 
   /// Applied model swaps so far (construction model = epoch 0).
   std::uint64_t model_epoch() const { return model_epoch_; }
 
  private:
-  struct Job {
-    std::vector<Synopsis> batch;             // non-empty: ingest these
-    bool close = false;                      // then close windows...
-    UsTime now = 0;                          // ...ending <= now,
-    bool close_all = false;                  // or all of them (finish)
-    std::vector<Anomaly>* out = nullptr;     // close-job result slot
-    std::vector<std::uint8_t>* save_out = nullptr;  // save-job result slot
-  };
-
-  struct Worker {
-    std::unique_ptr<AnomalyDetector> detector;  // worker-thread-owned
-    std::vector<Synopsis> pending;              // caller-side, lock-free
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Job> jobs;
-    bool stop = false;
-    std::thread thread;
-    // Self-telemetry (worker="i" series in the global registry); null when
-    // running inline.
-    obs::Counter* busy_us = nullptr;   // time spent processing jobs
-    obs::Counter* jobs_done = nullptr; // jobs (ingest batches + closes)
-  };
-
-  static std::size_t partition(HostId host, StageId stage, std::size_t n);
-
-  void worker_loop(Worker& worker);
-  void enqueue(Worker& worker, Job job);
-  void flush_pending(Worker& worker);
-  std::vector<Anomaly> close_windows(UsTime now, bool close_all);
-  /// Rebinds every detector to the staged model, if any. Only called with
-  /// all workers idle (after a close/save barrier).
+  /// Rebinds the detector to the staged model, if any.
   void apply_pending_model();
 
-  const OutlierModel* model_;
-  DetectorConfig config_;
-  std::unique_ptr<AnomalyDetector> serial_;      // inline path (threads <= 1)
-  std::vector<std::unique_ptr<Worker>> workers_; // parallel path
-
-  // Barrier for close jobs: workers decrement and notify.
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::size_t outstanding_ = 0;
-
-  std::uint64_t ingested_ = 0;
+  AnomalyDetector detector_;
 
   // Hot model reload: staged by swap_model(), applied at the next window
   // boundary by apply_pending_model().
   const OutlierModel* pending_model_ = nullptr;
   std::uint64_t model_epoch_ = 0;
   std::size_t restored_next_window_ = 0;
-
-  /// Caller-side batch size before a buffer is handed to its worker.
-  static constexpr std::size_t kDispatchBatch = 512;
 };
 
 }  // namespace saad::core

@@ -16,13 +16,14 @@
 // against kMaxCheckpointSection before any allocation. Section ids:
 //
 //   kMeta      varints: format version, sequence, model epoch,
-//              zigzag(window), analyzer threads, synopses ingested, and the
-//              server's published/acked watermark at capture.
+//              zigzag(window), a thread count (always 1; the analyzer is
+//              serial), synopses ingested, and the server's published/acked
+//              watermark at capture.
 //   kModel     the OutlierModel bytes (model_io.cpp's "SAADMDL1" codec).
 //   kRegistry  the LogRegistry bytes (log_registry.cpp codec).
-//   kAnalyzer  canonical AnalyzerPool state (AnalyzerPool::save_state) —
+//   kAnalyzer  canonical detector state (AnomalyDetector::save_state) —
 //              every open detection window's per-(host, stage) and
-//              per-signature tallies, portable across thread counts.
+//              per-signature tallies.
 //   kAnomalies verdicts already emitted before the checkpoint, so a resumed
 //              serve's final report is byte-identical to an uninterrupted
 //              run.
@@ -71,15 +72,15 @@ enum class CheckpointSection : std::uint8_t {
 
 struct Checkpoint {
   std::uint64_t sequence = 0;     // monotone per directory; in the filename
-  std::uint64_t model_epoch = 0;  // AnalyzerPool epoch at capture
+  std::uint64_t model_epoch = 0;  // AnalyzerPool::model_epoch at capture
   UsTime window = 0;              // detector window; resume must match
-  std::uint64_t threads = 0;      // advisory: analyzer threads at capture
+  std::uint64_t threads = 0;      // format field: serve writes 1; unread
   std::uint64_t ingested = 0;     // synopses ingested (for the final report)
   std::uint64_t published = 0;    // server watermark: synopses -> channel
   std::uint64_t acked = 0;        // server watermark: synopses consumed
   std::vector<std::uint8_t> model;     // OutlierModel::save bytes
   std::vector<std::uint8_t> registry;  // LogRegistry::save bytes
-  std::vector<std::uint8_t> analyzer;  // AnalyzerPool::save_state bytes
+  std::vector<std::uint8_t> analyzer;  // AnomalyDetector::save_state bytes
   std::vector<Anomaly> anomalies;      // verdicts emitted before capture
 };
 

@@ -40,7 +40,7 @@ struct DetectorMetrics {
             "flow).")),
         windows_closed(obs::MetricsRegistry::global().counter(
             "saad_detector_windows_closed_total",
-            "Detection windows closed (summed across pool workers).")),
+            "Detection windows closed.")),
         flow_anomalies(obs::MetricsRegistry::global().counter(
             "saad_detector_anomalies_total", "Anomaly verdicts raised.",
             {{"kind", "flow"}})),
@@ -350,8 +350,7 @@ void AnomalyDetector::save_state(std::vector<std::uint8_t>& out) const {
   }
 }
 
-bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
-                                    bool merge) {
+bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in) {
   // Decode into scratch structures keyed by value first: a malformed tail
   // must not leave the detector half-mutated.
   struct DecodedKey {
@@ -410,51 +409,32 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in,
   }
   if (!in.empty()) return false;
 
-  if (merge) {
-    // Sum tallies, max cursors. AnalyzerPool folds per-worker states this
-    // way — partitions have disjoint (host, stage) keys, but the merge is
-    // written to be correct for overlapping keys too.
-    next_window_to_close_ =
-        std::max(next_window_to_close_, static_cast<std::size_t>(next_window));
-    ingested_ += ingested;
-  } else {
-    open_windows_.clear();
-    last_window_ = nullptr;
-    next_window_to_close_ = static_cast<std::size_t>(next_window);
-    ingested_ = ingested;
-  }
+  open_windows_.clear();
+  last_window_ = nullptr;
+  next_window_to_close_ = static_cast<std::size_t>(next_window);
+  ingested_ = ingested;
   for (auto& [index, window] : windows) {
     for (auto& [key, src] : window) {
       const std::uint32_t k = key_index(key.first, key.second);
       const StageModel* sm = keys_[k].model;
+      const auto id_of = [&](const Signature& sig) {
+        return sm != nullptr ? sm->signatures.find(sig) : kNoSignature;
+      };
       StageWindowStats& dst = slot(index, k);
-      dst.n += src.n;
-      dst.flow_outliers += src.flow_outliers;
-      if (example_of(dst, sm).empty()) {
-        dst.example_id =
-            sm != nullptr ? sm->signatures.find(src.example) : kNoSignature;
-        if (dst.example_id == kNoSignature) dst.example = std::move(src.example);
-      }
+      dst.n = src.n;
+      dst.flow_outliers = src.flow_outliers;
+      dst.example_id = id_of(src.example);
+      if (dst.example_id == kNoSignature) dst.example = std::move(src.example);
       for (auto& sig : src.new_signatures) {
         auto& fresh = dst.new_signatures;
         if (std::find(fresh.begin(), fresh.end(), sig) == fresh.end())
           fresh.push_back(std::move(sig));
       }
-      for (const auto& [sig, src_stats] : src.per_signature) {
-        SigWindowStats& t = tally(
-            dst, sm != nullptr ? sm->signatures.find(sig) : kNoSignature, sig);
-        t.n += src_stats.n;
-        t.perf_outliers += src_stats.perf_outliers;
-        t.perf_applicable |= src_stats.perf_applicable;
-      }
+      for (const auto& [sig, stats] : src.per_signature)
+        tally(dst, id_of(sig), sig) = stats;
     }
   }
   return true;
-}
-
-void AnomalyDetector::adopt(std::size_t window, HostId host, StageId stage,
-                            StageWindowStats&& stats) {
-  slot(window, key_index(host, stage)) = std::move(stats);
 }
 
 std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,

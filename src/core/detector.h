@@ -39,11 +39,7 @@ struct DetectorConfig {
   /// the correction trades a little sensitivity for a familywise error
   /// bound. See the `ablation_tests` bench.
   bool bonferroni = false;
-  /// Worker threads for windowed detection when the detector runs behind an
-  /// AnalyzerPool (Monitor does this). 1 = serial (seed behavior), 0 = one
-  /// per hardware thread. Verdicts are thread-count-invariant: tests are
-  /// keyed per (host, stage[, signature]) and windows are partitioned by
-  /// that key (see analyzer_pool.h). Ignored by a bare AnomalyDetector.
+  /// Unused: the analyzer is serial. Kept only for code that still sets it.
   std::size_t analyzer_threads = 1;
 };
 
@@ -101,12 +97,11 @@ class AnomalyDetector {
   /// the close cursor, and the ingest count to `out`.
   void save_state(std::vector<std::uint8_t>& out) const;
 
-  /// Replaces (merge = false) or merges in (merge = true: tallies summed,
-  /// cursors maxed — how AnalyzerPool folds per-worker states into one
-  /// canonical state) state produced by save_state(). False on malformed
-  /// input, leaving the detector unchanged. The model is not part of the
-  /// state: the caller restores it first and constructs the detector over it.
-  bool restore_state(std::span<const std::uint8_t> in, bool merge = false);
+  /// Replaces the detector's state with one produced by save_state(). False
+  /// on malformed input, leaving the detector unchanged. The model is not
+  /// part of the state: the caller restores it first and constructs the
+  /// detector over it.
+  bool restore_state(std::span<const std::uint8_t> in);
 
   /// Points classification at a new model. Only legal at a window boundary
   /// (no ingest since the last advance_to/finish on the windows the swap
@@ -115,12 +110,10 @@ class AnomalyDetector {
   /// synopses ingested after the rebind see the new model). Signature ids
   /// belong to a model, so open windows' tallies are re-keyed by signature
   /// value; the old model must still be alive during the call. AnalyzerPool
-  /// applies staged swaps here, after the close barrier.
+  /// applies staged swaps here, right after a window close.
   void rebind_model(const OutlierModel* model);
 
  private:
-  friend class AnalyzerPool;  // splits/merges state across partitions
-
   struct SigWindowStats {
     std::uint64_t n = 0;
     std::uint64_t perf_outliers = 0;
@@ -158,9 +151,6 @@ class AnomalyDetector {
   std::uint32_t key_index(HostId host, StageId stage);
   /// The window's tallies for `key`, opening the window if needed.
   StageWindowStats& slot(std::size_t window, std::uint32_t key);
-  /// Moves a restored key's tallies in (AnalyzerPool splits a state so).
-  void adopt(std::size_t window, HostId host, StageId stage,
-             StageWindowStats&& stats);
   static const Signature& example_of(const StageWindowStats& stats,
                                      const StageModel* model);
   /// The tally of a signature in `stats`, created empty on first sight: by

@@ -116,9 +116,8 @@ void Monitor::arm(const DetectorConfig& config) {
   channel_.drain(scratch);
   analyzer_ = std::make_unique<AnalyzerPool>(model_.get(), config);
   mode_ = Mode::kDetecting;
-  obs::FlightRecorder::global().record(
-      obs::EventKind::kModeChange, "monitor: armed (%zu analyzer threads)",
-      analyzer_->threads());
+  obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
+                                       "monitor: armed");
 }
 
 std::vector<Anomaly> Monitor::poll(UsTime now) {
@@ -170,7 +169,7 @@ bool Monitor::save_state(std::vector<std::uint8_t>& out) const {
   put_varint(config.min_n, out);
   put_varint(config.new_signature_is_anomaly ? 1 : 0, out);
   put_varint(config.bonferroni ? 1 : 0, out);
-  put_varint(config.analyzer_threads, out);
+  put_varint(1, out);  // thread count: a format field, ignored on restore
   std::vector<std::uint8_t> analyzer_bytes;
   analyzer_->save_state(analyzer_bytes);
   put_varint(analyzer_bytes.size(), out);
@@ -200,8 +199,7 @@ bool Monitor::restore_state(std::span<const std::uint8_t> in) {
   config.new_signature_is_anomaly = v != 0;
   if (!get_varint(in, v) || v > 1) return false;
   config.bonferroni = v != 0;
-  if (!get_varint(in, v)) return false;
-  config.analyzer_threads = static_cast<std::size_t>(v);
+  if (!get_varint(in, v)) return false;  // thread count, ignored
   if (!get_varint(in, v) || v != in.size()) return false;
 
   // All parsed; build the new plane before touching the monitor, so a
@@ -216,9 +214,7 @@ bool Monitor::restore_state(std::span<const std::uint8_t> in) {
   analyzer_ = std::move(analyzer);
   mode_ = Mode::kDetecting;
   obs::FlightRecorder::global().record(
-      obs::EventKind::kModeChange,
-      "monitor: restored from checkpoint state (%zu analyzer threads)",
-      analyzer_->threads());
+      obs::EventKind::kModeChange, "monitor: restored from checkpoint state");
   return true;
 }
 

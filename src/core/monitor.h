@@ -61,9 +61,7 @@ class Monitor {
   void set_model(OutlierModel model);
   const OutlierModel* model() const { return model_.get(); }
 
-  /// Switch to detection. Requires a trained model. With
-  /// config.analyzer_threads > 1 detection fans out across an AnalyzerPool;
-  /// anomaly output is identical to the serial path for any thread count.
+  /// Switch to detection. Requires a trained model.
   void arm(const DetectorConfig& config = {});
   bool armed() const { return analyzer_ != nullptr; }
 
@@ -82,16 +80,16 @@ class Monitor {
   // ---- Warm-restart state (checkpoint.h) -----------------------------------
 
   /// Serializes the armed detection plane: the model, the detector config,
-  /// and every open window (AnalyzerPool::save_state). False unless armed.
+  /// and every open window (AnomalyDetector::save_state). False unless armed.
   /// Trackers and the channel are not captured — in-flight tasks at crash
   /// time never produced a synopsis, so there is nothing to restore.
   bool save_state(std::vector<std::uint8_t>& out) const;
 
   /// Rebuilds the detection plane from save_state() bytes: loads the model,
-  /// arms with the stored config (including its analyzer_threads — save and
-  /// restore may use different thread counts of the same pool state), and
-  /// restores the open windows. False on malformed input, leaving the
-  /// monitor unchanged. Like arm(), discards anything queued beforehand.
+  /// arms with the stored config, and restores the open windows. The config's
+  /// thread-count field is a format leftover: save writes 1 and restore
+  /// ignores it. False on malformed input, leaving the monitor unchanged.
+  /// Like arm(), discards anything queued beforehand.
   bool restore_state(std::span<const std::uint8_t> in);
 
   const std::vector<Synopsis>& training_trace() const {

@@ -2,7 +2,7 @@
 //
 // Instrumented components register their metric families lazily, on first
 // use — a command that exercises only part of the pipeline (e.g. `detect`,
-// which reads a trace straight into the analyzer pool and never builds a
+// which reads a trace straight into the analyzer and never builds a
 // SynopsisChannel) would therefore expose an incomplete family set. Tools
 // that scrape or snapshot the registry call register_pipeline_metrics()
 // once at startup so every family is present (zero-valued if unused), in

@@ -29,10 +29,6 @@ const char* to_string(EventKind kind) {
       return "model-reload";
     case EventKind::kModeChange:
       return "mode-change";
-    case EventKind::kWorkerStart:
-      return "worker-start";
-    case EventKind::kWorkerStop:
-      return "worker-stop";
     case EventKind::kIoError:
       return "io-error";
     case EventKind::kCustom:

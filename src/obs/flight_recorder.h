@@ -1,9 +1,9 @@
 // Pipeline flight recorder: a bounded ring buffer of recent, rare pipeline
 // events (window open/close, corrupt-block skips, torn tails, model reloads,
-// mode changes, worker lifecycle). Unlike metrics — aggregates with no
-// ordering — the recorder answers "what just happened, in what order?" for
-// post-mortems: dump it on demand (dump_text()) or automatically on a fatal
-// signal (install_crash_handler()).
+// mode changes). Unlike metrics — aggregates with no ordering — the recorder
+// answers "what just happened, in what order?" for post-mortems: dump it on
+// demand (dump_text()) or automatically on a fatal signal
+// (install_crash_handler()).
 //
 // Cost model: record() formats the detail string up front (snprintf into a
 // fixed in-event buffer, no allocation) and takes a mutex for the ring slot.
@@ -28,8 +28,6 @@ enum class EventKind : std::uint8_t {
   kTornTail,
   kModelReload,
   kModeChange,
-  kWorkerStart,
-  kWorkerStop,
   kIoError,
   kCustom,
 };

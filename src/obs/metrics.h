@@ -46,7 +46,7 @@ inline constexpr bool kMetricsEnabled = true;
 /// Sorted-insignificant list of (key, value) pairs; kept as given.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Cap the instrumentation applies to indexed labels (shard="i", worker="i"):
+/// Cap the instrumentation applies to indexed labels (e.g. shard="i"):
 /// indexes are taken mod this, so a pathological configuration can never
 /// explode series cardinality.
 inline constexpr std::size_t kMaxIndexedLabels = 16;

@@ -8,10 +8,10 @@ namespace saad::stats {
 
 namespace {
 
-/// std::lgamma writes the process-global `signgam`, which is a data race
-/// when the analyzer pool runs t-tests on several worker threads at once.
-/// All our arguments are positive (gamma > 0), so the sign output is
-/// irrelevant — use the reentrant lgamma_r where available.
+/// std::lgamma writes the process-global `signgam`, so two threads running
+/// tests at once (two analyzers in one process, say) would race on it. All
+/// our arguments are positive (gamma > 0), so the sign output is irrelevant
+/// — use the reentrant lgamma_r where available.
 double lgamma_threadsafe(double x) {
 #if defined(__GLIBC__) || defined(__APPLE__)
   int sign = 0;

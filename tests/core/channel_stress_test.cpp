@@ -1,14 +1,12 @@
-// Concurrency stress for the sharded synopsis channel and the analyzer
-// pool. These run in the dedicated `saad_stress_tests` target (ctest label
-// "stress") so they can be cranked up under -fsanitize=thread without
-// slowing the plain unit suite.
+// Concurrency stress for the sharded synopsis channel. These run in the
+// dedicated `saad_stress_tests` target (ctest label "stress") so they can be
+// cranked up under -fsanitize=thread without slowing the plain unit suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <thread>
 
-#include "core/analyzer_pool.h"
 #include "core/channel.h"
 
 namespace saad::core {
@@ -120,30 +118,6 @@ TEST(ChannelStress, MixedBatchedAndDirectProducers) {
   channel.drain(out);
   EXPECT_EQ(out.size(), 2 * kEach);
   EXPECT_EQ(channel.pushed(), 2 * kEach);
-}
-
-TEST(AnalyzerPoolStress, IngestAdvanceChurn) {
-  // Exercise the worker fan-out under tsan: a trained-empty model makes
-  // every synopsis a new-signature flow outlier, maximizing per-window work.
-  const OutlierModel model = OutlierModel::train({});
-  DetectorConfig config;
-  config.window = sec(1);
-  config.analyzer_threads = 8;
-  AnalyzerPool pool(&model, config);
-  EXPECT_EQ(pool.threads(), 8u);
-
-  constexpr TaskUid kTotal = 40000;
-  std::size_t anomalies = 0;
-  for (TaskUid i = 0; i < kTotal; ++i) {
-    Synopsis s = sample(static_cast<HostId>(i % 16), i);
-    s.start = static_cast<UsTime>(i) * 100;  // 10k tasks per virtual second
-    pool.ingest(s);
-    if (i % 5000 == 4999)
-      anomalies += pool.advance_to(s.start).size();
-  }
-  anomalies += pool.finish().size();
-  EXPECT_EQ(pool.ingested(), kTotal);
-  EXPECT_GT(anomalies, 0u);
 }
 
 }  // namespace

@@ -3,11 +3,10 @@
 //    truncation and every byte-level corruption of an encoded checkpoint;
 //  * CheckpointDir newest-valid fallback — a torn newest file falls back to
 //    the previous checkpoint, counted in saad_checkpoint_corrupt_total;
-//  * detector/pool state canonicality: the same stream saved at any thread
-//    count encodes identical bytes, and save -> crash -> restore -> continue
-//    produces verdicts byte-identical to an uninterrupted run;
-//  * hot model swaps apply exactly at a window boundary, deterministically
-//    across thread counts.
+//  * detector state canonicality: save -> restore -> save round-trips
+//    bit-identically, and save -> crash -> restore -> continue produces
+//    verdicts byte-identical to an uninterrupted run;
+//  * hot model swaps apply exactly at a window boundary.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +20,7 @@
 #include "core/analyzer_pool.h"
 #include "core/log_registry.h"
 #include "core/monitor.h"
+#include "core/varint.h"
 #include "obs/metrics.h"
 #include "testutil/temp_dir.h"
 
@@ -298,7 +298,7 @@ TEST(CheckpointDir, TornNewestFallsBackToPreviousLoudly) {
   EXPECT_EQ(dir.max_sequence(), 2u);
 }
 
-// ---- Detector / pool state ------------------------------------------------
+// ---- Detector / analyzer state ---------------------------------------------
 
 TEST(DetectorState, SaveRestoreRoundTripsCanonically) {
   const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
@@ -340,29 +340,6 @@ TEST(DetectorState, MalformedInputLeavesDetectorUnchanged) {
   }
 }
 
-TEST(PoolState, BytesIdenticalAcrossThreadCounts) {
-  const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
-  const auto stream = make_trace(12, 8000, 0.05, 0.08);
-  DetectorConfig config;
-  config.window = sec(5);
-
-  std::vector<std::uint8_t> serial_bytes;
-  {
-    config.analyzer_threads = 1;
-    AnalyzerPool pool(&model, config);
-    for (const auto& s : stream) pool.ingest(s);
-    pool.save_state(serial_bytes);
-  }
-  for (std::size_t threads : {2u, 4u}) {
-    config.analyzer_threads = threads;
-    AnalyzerPool pool(&model, config);
-    for (const auto& s : stream) pool.ingest(s);
-    std::vector<std::uint8_t> bytes;
-    pool.save_state(bytes);
-    EXPECT_EQ(bytes, serial_bytes) << "threads=" << threads;
-  }
-}
-
 TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
   const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
   const auto stream = make_trace(12, 12000, 0.05, 0.08);
@@ -374,7 +351,6 @@ TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
   config.window = sec(2);
 
   // Golden: one uninterrupted run with a mid-stream close barrier.
-  config.analyzer_threads = 1;
   std::string golden;
   {
     AnalyzerPool pool(&model, config);
@@ -385,35 +361,23 @@ TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
   }
   ASSERT_FALSE(golden.empty());
 
-  // Crash after the mid-stream barrier, restore under a different thread
-  // count, continue: the combined verdicts must be byte-identical.
-  for (const auto& [save_threads, resume_threads] :
-       {std::pair<std::size_t, std::size_t>{1, 4}, {4, 1}, {4, 2}}) {
-    std::string combined;
-    std::vector<std::uint8_t> saved;
-    std::size_t resumed_next = 0;
-    {
-      config.analyzer_threads = save_threads;
-      AnalyzerPool pool(&model, config);
-      for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-      combined += dump(pool.advance_to(stream[half].start));
-      pool.save_state(saved);
-      // SIGKILL here: the pool is dropped without finish().
-    }
-    {
-      config.analyzer_threads = resume_threads;
-      AnalyzerPool pool(&model, config);
-      ASSERT_TRUE(pool.restore_state(saved));
-      resumed_next = pool.restored_next_window();
-      for (std::size_t i = half; i < stream.size(); ++i)
-        pool.ingest(stream[i]);
-      combined += dump(pool.finish());
-    }
-    EXPECT_EQ(combined, golden)
-        << "save_threads=" << save_threads
-        << " resume_threads=" << resume_threads;
-    EXPECT_GT(resumed_next, 0u);  // mid-stream: some windows already closed
+  // Crash after the mid-stream barrier, restore, continue: the combined
+  // verdicts must be byte-identical.
+  std::string combined;
+  std::vector<std::uint8_t> saved;
+  {
+    AnalyzerPool pool(&model, config);
+    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
+    combined += dump(pool.advance_to(stream[half].start));
+    pool.save_state(saved);
+    // SIGKILL here: the analyzer is dropped without finish().
   }
+  AnalyzerPool pool(&model, config);
+  ASSERT_TRUE(pool.restore_state(saved));
+  EXPECT_GT(pool.restored_next_window(), 0u);  // some windows already closed
+  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
+  combined += dump(pool.finish());
+  EXPECT_EQ(combined, golden);
 }
 
 TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
@@ -426,31 +390,22 @@ TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
   DetectorConfig config;
   config.window = sec(5);
 
-  auto run = [&](std::size_t threads) {
-    config.analyzer_threads = threads;
-    AnalyzerPool pool(&model_a, config);
-    std::string out;
-    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-    // Staged mid-stream: nothing changes until the next boundary.
-    pool.swap_model(&model_b);
-    EXPECT_EQ(pool.model_epoch(), 0u);
-    out += dump(pool.advance_to(stream[half].start));
-    EXPECT_EQ(pool.model_epoch(), 1u);  // applied at the barrier
-    for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-    out += dump(pool.finish());
-    EXPECT_EQ(pool.model_epoch(), 1u);  // no re-apply without a new stage
-    return out;
-  };
-
-  const std::string serial = run(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(4), serial);
+  AnalyzerPool pool(&model_a, config);
+  std::string swapped;
+  for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
+  // Staged mid-stream: nothing changes until the next boundary.
+  pool.swap_model(&model_b);
+  EXPECT_EQ(pool.model_epoch(), 0u);
+  swapped += dump(pool.advance_to(stream[half].start));
+  EXPECT_EQ(pool.model_epoch(), 1u);  // applied at the boundary
+  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
+  swapped += dump(pool.finish());
+  EXPECT_EQ(pool.model_epoch(), 1u);  // no re-apply without a new stage
+  ASSERT_FALSE(swapped.empty());
 
   // The swap is observable: the same stream without it verdicts differently
   // (model B was trained noisier, so post-swap windows test against
   // different baselines).
-  config.analyzer_threads = 1;
   AnalyzerPool no_swap(&model_a, config);
   std::string unswapped;
   for (std::size_t i = 0; i < half; ++i) no_swap.ingest(stream[i]);
@@ -458,21 +413,23 @@ TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
   for (std::size_t i = half; i < stream.size(); ++i)
     no_swap.ingest(stream[i]);
   unswapped += dump(no_swap.finish());
-  EXPECT_NE(unswapped, serial);
+  EXPECT_NE(unswapped, swapped);
 }
 
 // ---- Monitor --------------------------------------------------------------
 
-TEST(MonitorState, SaveRestoreResumesDetection) {
-  LogRegistry registry;
-  const auto stage = registry.register_stage("Handler");
-  const auto lp_a = registry.register_log_point(stage, Level::kDebug, "recv");
-  const auto lp_b = registry.register_log_point(stage, Level::kDebug, "done");
-  const auto lp_rare =
-      registry.register_log_point(stage, Level::kWarn, "retry");
+class MonitorState : public ::testing::Test {
+ protected:
+  MonitorState()
+      : stage(registry.register_stage("Handler")),
+        lp_a(registry.register_log_point(stage, Level::kDebug, "recv")),
+        lp_b(registry.register_log_point(stage, Level::kDebug, "done")),
+        lp_rare(registry.register_log_point(stage, Level::kWarn, "retry")) {
+    config.window = sec(10);
+  }
 
-  auto run_schedule = [&](Monitor& monitor, ManualClock& clock,
-                          std::uint64_t seed, bool faulty, int tasks) {
+  void run_schedule(Monitor& monitor, ManualClock& clock, std::uint64_t seed,
+                    bool faulty, int tasks) {
     Rng rng(seed);
     for (int i = 0; i < tasks; ++i) {
       const auto host = static_cast<HostId>(rng.next_below(4));
@@ -487,25 +444,47 @@ TEST(MonitorState, SaveRestoreResumesDetection) {
       tracker.end_task(std::move(task));
       clock.advance(ms(1));
     }
-  };
+  }
 
-  // Train, arm, run the first half, and poll once.
-  ManualClock train_clock;
-  Monitor trainer(&registry, &train_clock);
-  trainer.start_training();
-  run_schedule(trainer, train_clock, 77, /*faulty=*/false, 4000);
-  trainer.train();
+  /// A model trained on a fault-free schedule.
+  OutlierModel train() {
+    ManualClock clock;
+    Monitor trainer(&registry, &clock);
+    trainer.start_training();
+    run_schedule(trainer, clock, 77, /*faulty=*/false, 4000);
+    trainer.train();
+    return *trainer.model();
+  }
 
+  /// Restores `state` into a fresh monitor whose clock starts at `now`,
+  /// saves it again into `resaved`, and runs the continuation schedule.
+  std::string resume(std::span<const std::uint8_t> state, UsTime now,
+                     std::vector<std::uint8_t>& resaved) {
+    ManualClock clock;
+    clock.advance(now);
+    Monitor monitor(&registry, &clock);
+    EXPECT_TRUE(monitor.restore_state(state));
+    EXPECT_TRUE(monitor.save_state(resaved));
+    run_schedule(monitor, clock, 901, /*faulty=*/true, 1500);
+    std::string out = dump(monitor.poll(clock.now()));
+    out += dump(monitor.finish());
+    return out;
+  }
+
+  LogRegistry registry;
+  StageId stage;
+  LogPointId lp_a, lp_b, lp_rare;
   DetectorConfig config;
-  config.window = sec(10);
+};
 
+TEST_F(MonitorState, SaveRestoreResumesDetection) {
+  // Arm, run the first half, and poll once.
   ManualClock clock_a;
   Monitor a(&registry, &clock_a);
-  a.set_model(*trainer.model());
+  a.set_model(train());
   a.arm(config);
-  std::string head;
   run_schedule(a, clock_a, 900, /*faulty=*/true, 1500);
-  head += dump(a.poll(clock_a.now()));
+  const std::string head = dump(a.poll(clock_a.now()));
   std::vector<std::uint8_t> saved;
   ASSERT_TRUE(a.save_state(saved));
   const UsTime snapshot_now = clock_a.now();
@@ -517,17 +496,52 @@ TEST(MonitorState, SaveRestoreResumesDetection) {
 
   // B restores the snapshot, starts its clock at the snapshot time, and
   // replays the identical continuation schedule.
-  ManualClock clock_b;
-  clock_b.advance(snapshot_now);
-  Monitor b(&registry, &clock_b);
-  ASSERT_TRUE(b.restore_state(saved));
-  std::string tail_b;
-  run_schedule(b, clock_b, 901, /*faulty=*/true, 1500);
-  tail_b += dump(b.poll(clock_b.now()));
-  tail_b += dump(b.finish());
-
-  EXPECT_EQ(tail_b, tail_a);
+  std::vector<std::uint8_t> resaved;
+  EXPECT_EQ(resume(saved, snapshot_now, resaved), tail_a);
+  EXPECT_EQ(resaved, saved);  // canonical: equal state -> equal bytes
   ASSERT_FALSE((head + tail_a).empty());
+}
+
+TEST_F(MonitorState, ThreadCountFieldIsIgnoredOnRestore) {
+  ManualClock clock_a;
+  Monitor a(&registry, &clock_a);
+  a.set_model(train());
+  a.arm(config);
+  run_schedule(a, clock_a, 900, /*faulty=*/true, 1500);
+  a.poll(clock_a.now());
+  std::vector<std::uint8_t> saved;
+  ASSERT_TRUE(a.save_state(saved));
+
+  // Find the thread-count varint: it follows the version, the model, and the
+  // window, alpha, test kind, min_n, new-signature and bonferroni fields.
+  std::span<const std::uint8_t> in(saved);
+  std::uint64_t v = 0;
+  double alpha = 0;
+  ASSERT_TRUE(get_varint(in, v));  // version
+  ASSERT_TRUE(get_varint(in, v) && v <= in.size());
+  in = in.subspan(static_cast<std::size_t>(v));
+  ASSERT_TRUE(get_varint(in, v) && get_double(in, alpha));
+  for (int field = 0; field < 4; ++field) ASSERT_TRUE(get_varint(in, v));
+  const std::size_t field_begin = saved.size() - in.size();
+  ASSERT_TRUE(get_varint(in, v));
+  EXPECT_EQ(v, 1u);  // the serial analyzer writes 1
+  const std::size_t field_end = saved.size() - in.size();
+
+  std::vector<std::uint8_t> resaved;
+  const std::string golden = resume(saved, clock_a.now(), resaved);
+  ASSERT_FALSE(golden.empty());
+
+  // A monitor armed with 4 analyzer threads wrote 4 here; 1 << 20 must not
+  // start a million of anything.
+  for (const std::uint64_t threads : {std::uint64_t{4}, std::uint64_t{1} << 20}) {
+    std::vector<std::uint8_t> state(saved.begin(), saved.begin() + field_begin);
+    put_varint(threads, state);
+    state.insert(state.end(), saved.begin() + field_end, saved.end());
+    resaved.clear();
+    EXPECT_EQ(resume(state, clock_a.now(), resaved), golden)
+        << "threads=" << threads;
+    EXPECT_EQ(resaved, saved) << "threads=" << threads;
+  }
 }
 
 }  // namespace

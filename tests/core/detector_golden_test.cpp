@@ -133,10 +133,8 @@ std::string record_cassandra(const testutil::TempDir& tmp,
 }
 
 std::string run_cassandra(const std::string& path, const LogRegistry& registry,
-                          const OutlierModel& model, std::size_t threads) {
-  DetectorConfig config;
-  config.analyzer_threads = threads;
-  AnalyzerPool pool(&model, config);
+                          const OutlierModel& model) {
+  AnalyzerPool pool(&model);
   Transcript transcript(registry);
   TraceReader reader(path);
   Synopsis s;
@@ -172,9 +170,7 @@ TEST(DetectorGolden, CassandraErrorWal) {
   }
   const OutlierModel model = OutlierModel::train(training);
   training = {};
-  const std::string serial = run_cassandra(path, registry, model, 1);
-  expect_golden("cassandra_error_wal", serial);
-  EXPECT_EQ(run_cassandra(path, registry, model, 4), serial);
+  expect_golden("cassandra_error_wal", run_cassandra(path, registry, model));
 }
 
 // ---- Synthetic many-key stream ---------------------------------------------
@@ -324,13 +320,11 @@ std::vector<Synopsis> swap_training(std::uint64_t seed, LogPointId extra) {
   return out;
 }
 
-std::string run_swap(const OutlierModel& before, const OutlierModel& after,
-                     std::size_t threads) {
+std::string run_swap(const OutlierModel& before, const OutlierModel& after) {
   // Stage 1's {10, 15} is known only to `before`, {10, 16} only to `after`;
   // both are ingested into window 0 on either side of the swap.
   DetectorConfig config;
   config.window = sec(10);
-  config.analyzer_threads = threads;
   AnalyzerPool pool(&before, config);
   LogRegistry registry;
   Transcript transcript(registry);
@@ -373,9 +367,7 @@ std::string run_swap(const OutlierModel& before, const OutlierModel& after,
 TEST(DetectorGolden, ModelSwapOverOpenWindow) {
   const auto before = OutlierModel::train(swap_training(41, 15));
   const auto after = OutlierModel::train(swap_training(42, 16));
-  const std::string serial = run_swap(before, after, 1);
-  expect_golden("model_swap", serial);
-  EXPECT_EQ(run_swap(before, after, 4), serial);
+  expect_golden("model_swap", run_swap(before, after));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/analyzer_pool.h"
 #include "obs/metrics.h"
 
 namespace saad::core {
@@ -195,34 +194,28 @@ TEST_F(DetectorFixture, ReattributedAndUnknownStageSynopsesAreCounted) {
   auto& unknown = registry.counter(
       "saad_detector_unknown_stage_total",
       "Synopses of a stage the model has never seen (each is a new flow).");
-  // The same stream through the serial detector (a 1-thread pool runs it
-  // inline) and 4 workers: the counts are per synopsis, so they match.
-  for (const std::size_t threads : {1u, 4u}) {
-    const std::uint64_t late_before = late.value();
-    const std::uint64_t unknown_before = unknown.value();
-    DetectorConfig config;
-    config.analyzer_threads = threads;
-    AnalyzerPool pool(&model, config);
-    for (int i = 0; i < 50; ++i) {
-      pool.ingest(make_synopsis(0, {1, 2, 4}, ms(i), ms(10),
-                                static_cast<HostId>(i % 3)));
-    }
-    (void)pool.advance_to(minutes(1));
-    // Three late tasks of window 0, two of a stage the model never saw, and
-    // one that is both.
-    for (int i = 0; i < 3; ++i) {
-      pool.ingest(make_synopsis(0, {1, 2, 4}, ms(5), ms(100),
-                                static_cast<HostId>(i)));
-    }
-    for (int i = 0; i < 2; ++i)
-      pool.ingest(make_synopsis(7, {1}, minutes(1) + ms(i), ms(1)));
-    pool.ingest(make_synopsis(7, {1}, ms(9), ms(1), /*host=*/2));
-    const auto anomalies = pool.finish();
-    EXPECT_EQ(late.value() - late_before, 4u) << "threads=" << threads;
-    EXPECT_EQ(unknown.value() - unknown_before, 3u) << "threads=" << threads;
-    ASSERT_FALSE(anomalies.empty());
-    for (const auto& a : anomalies) EXPECT_EQ(a.window, 1u);
+  const std::uint64_t late_before = late.value();
+  const std::uint64_t unknown_before = unknown.value();
+  AnomalyDetector det(&model);
+  for (int i = 0; i < 50; ++i) {
+    det.ingest(make_synopsis(0, {1, 2, 4}, ms(i), ms(10),
+                             static_cast<HostId>(i % 3)));
   }
+  (void)det.advance_to(minutes(1));
+  // Three late tasks of window 0, two of a stage the model never saw, and
+  // one that is both.
+  for (int i = 0; i < 3; ++i) {
+    det.ingest(make_synopsis(0, {1, 2, 4}, ms(5), ms(100),
+                             static_cast<HostId>(i)));
+  }
+  for (int i = 0; i < 2; ++i)
+    det.ingest(make_synopsis(7, {1}, minutes(1) + ms(i), ms(1)));
+  det.ingest(make_synopsis(7, {1}, ms(9), ms(1), /*host=*/2));
+  const auto anomalies = det.finish();
+  EXPECT_EQ(late.value() - late_before, 4u);
+  EXPECT_EQ(unknown.value() - unknown_before, 3u);
+  ASSERT_FALSE(anomalies.empty());
+  for (const auto& a : anomalies) EXPECT_EQ(a.window, 1u);
 }
 
 }  // namespace

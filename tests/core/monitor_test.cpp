@@ -180,23 +180,6 @@ TEST_F(MonitorFixture, FinishBeforeArmReturnsEmpty) {
   EXPECT_TRUE(monitor.finish().empty());
 }
 
-TEST_F(MonitorFixture, MultiThreadedArmMatchesSerialVerdicts) {
-  Monitor monitor(&registry, &clock);
-  monitor.start_training();
-  for (int i = 0; i < 1500; ++i) run_task(monitor, false, ms(5));
-  monitor.train();
-  DetectorConfig config;
-  config.analyzer_threads = 4;
-  monitor.arm(config);
-  for (int i = 0; i < 100; ++i) run_task(monitor, false, ms(5));
-  for (int i = 0; i < 30; ++i) run_task(monitor, true, ms(5));
-  clock.advance(minutes(2));
-  const auto anomalies = monitor.poll(clock.now());
-  ASSERT_FALSE(anomalies.empty());
-  EXPECT_EQ(anomalies[0].kind, AnomalyKind::kFlow);
-  EXPECT_TRUE(anomalies[0].due_to_new_signature);
-}
-
 TEST_F(MonitorFixture, RecordingStreamsSynopsesToDisk) {
   const auto path = testutil::scratch_path("monitor_rec.trc");
   Monitor monitor(&registry, &clock);

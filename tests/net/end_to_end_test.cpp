@@ -2,8 +2,8 @@
 // synopsis stream delivered over a real loopback TCP connection
 // (SynopsisClient -> SAADNET1 frames -> SynopsisServer -> SynopsisChannel)
 // must arrive bit-identical and in order, and analyzer verdicts computed on
-// the delivered stream must match the in-process pipeline byte for byte at
-// any thread count — the wire must be invisible to detection.
+// the delivered stream must match the in-process pipeline byte for byte —
+// the wire must be invisible to detection.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,8 +27,8 @@ using core::DetectorConfig;
 using core::OutlierModel;
 using core::Synopsis;
 
-/// Full-precision serialization (same as the analyzer_pool golden test):
-/// any drift in value, order, or count shows up as a string diff.
+/// Full-precision serialization (same as the checkpoint suite's): any drift
+/// in value, order, or count shows up as a string diff.
 std::string dump(const std::vector<Anomaly>& anomalies) {
   std::string out;
   char line[256];
@@ -123,11 +123,10 @@ std::vector<Synopsis> loopback_roundtrip(const std::vector<Synopsis>& stream,
 
 /// Replays `stream` through an AnalyzerPool with a mid-stream advance_to
 /// plus a finish (the way Monitor::poll drives it) and dumps the verdicts.
-std::string run_pool(const OutlierModel& model, std::size_t threads,
+std::string run_pool(const OutlierModel& model,
                      const std::vector<Synopsis>& stream) {
   DetectorConfig config;
   config.window = sec(5);
-  config.analyzer_threads = threads;
   AnalyzerPool pool(&model, config);
   const std::size_t half = stream.size() / 2;
   for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
@@ -171,7 +170,7 @@ TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
   // and the performance tests fire — an empty golden would be vacuous.
   const auto stream = make_trace(12, 20000, 0.05, 0.08);
 
-  const std::string in_process = run_pool(model, 1, stream);
+  const std::string in_process = run_pool(model, stream);
   ASSERT_FALSE(in_process.empty())
       << "workload produced no anomalies — the golden comparison is vacuous";
 
@@ -180,10 +179,7 @@ TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
   ASSERT_EQ(received.size(), stream.size());
   EXPECT_EQ(stats.shed_synopses, 0u);
 
-  for (std::size_t threads : {1u, 4u}) {
-    EXPECT_EQ(run_pool(model, threads, received), in_process)
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(run_pool(model, received), in_process);
 }
 
 }  // namespace

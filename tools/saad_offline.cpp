@@ -72,7 +72,6 @@ struct Args {
   bool stats = false;       // detect/serve: live per-window summaries
   long long run_minutes = 6;
   long long window_sec = 60;
-  long long threads = 1;  // analyzer threads for detect/serve (0 = all cores)
   std::uint64_t seed = 1;
   // serve
   long long listen = -1;      // TCP port (0 = ephemeral); -1 = not given
@@ -144,8 +143,6 @@ Args parse(int argc, char** argv) {
       args.run_minutes = parse_int_range(v, "minutes", 1, 7 * 24 * 60);
     if (auto v = value("window-sec"); !v.empty())
       args.window_sec = parse_int_range(v, "window-sec", 1, 86400);
-    if (auto v = value("threads"); !v.empty())
-      args.threads = parse_int_range(v, "threads", 0, 1024);
     if (auto v = value("seed"); !v.empty())
       args.seed = static_cast<std::uint64_t>(parse_int(v, "seed"));
     if (auto v = value("listen"); !v.empty())
@@ -233,9 +230,8 @@ class LiveStats {
     return watermark_ > 2 * window_ ? watermark_ - 2 * window_ : 0;
   }
 
-  /// True once `safe` closes a window not yet reported. Gates advance_to():
-  /// in the threaded pool it is a full flush + merge barrier, so it should
-  /// run once per window, not once per synopsis.
+  /// True once `safe` closes a window not yet reported. Gates advance_to()
+  /// so it runs once per window, not once per synopsis.
   bool window_ready(UsTime safe) const {
     return static_cast<UsTime>(next_window_ + 1) * window_ <= safe;
   }
@@ -501,8 +497,6 @@ int cmd_detect(const Args& args) {
 
   core::DetectorConfig config;
   config.window = sec(args.window_sec);
-  config.analyzer_threads =
-      args.threads < 0 ? 1 : static_cast<std::size_t>(args.threads);
   core::AnalyzerPool analyzer(&*model, config);
   // True streaming: synopses flow from disk block-by-block into the
   // analyzer, so detection memory is O(block) + O(open windows), not
@@ -572,7 +566,7 @@ void on_reload_signal(int) { g_reload_requested = 1; }
 
 // Runs the analyzer as a network service: SynopsisServer decodes SAADNET1
 // frames into the sharded channel, and this (consumer) loop drains the
-// channel into the AnalyzerPool — exactly the in-process pipeline, with a
+// channel into the analyzer — exactly the in-process pipeline, with a
 // wire in the middle. Output format matches `detect`, so the loopback
 // acceptance can diff the two verbatim.
 int cmd_serve(const Args& args) {
@@ -591,7 +585,7 @@ int cmd_serve(const Args& args) {
     return 1;
   }
   // The active model lives on the heap so a SIGHUP hot swap can stage a new
-  // one and retire this one only after the pool switched over.
+  // one and retire this one only after the analyzer switched over.
   auto active_model =
       std::make_unique<core::OutlierModel>(std::move(*loaded));
   core::LogRegistry registry;
@@ -608,8 +602,6 @@ int cmd_serve(const Args& args) {
 
   core::DetectorConfig config;
   config.window = sec(args.window_sec);
-  config.analyzer_threads =
-      args.threads < 0 ? 1 : static_cast<std::size_t>(args.threads);
 
   // Warm restart: before the listener opens, adopt the newest valid
   // checkpoint (torn or corrupt candidates are skipped loudly). The
@@ -696,8 +688,7 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve: cannot listen on port %lld\n", args.listen);
     return 1;
   }
-  std::fprintf(stderr, "serve: listening on 127.0.0.1:%u (threads=%lld)\n",
-               server.port(), args.threads);
+  std::fprintf(stderr, "serve: listening on 127.0.0.1:%u\n", server.port());
   if (!args.port_file.empty()) {
     std::ofstream pf(args.port_file, std::ios::trunc);
     pf << server.port() << "\n";
@@ -753,9 +744,9 @@ int cmd_serve(const Args& args) {
                                           std::memory_order_relaxed);
   const auto started_steady = std::chrono::steady_clock::now();
 
-  // Hot model reload: SIGHUP stages, the pool applies at the next window
+  // Hot model reload: SIGHUP stages, the analyzer applies at the next window
   // boundary, and adopt_model() then retires the previous model. staged
-  // must outlive the apply (the pool holds a raw pointer until then).
+  // must outlive the apply (the analyzer holds a raw pointer until then).
   std::unique_ptr<core::OutlierModel> staged_model;
   std::vector<std::uint8_t> staged_model_bytes;
   std::uint64_t adopted_epoch = analyzer.model_epoch();
@@ -797,7 +788,7 @@ int cmd_serve(const Args& args) {
     c.sequence = next_sequence;
     c.model_epoch = analyzer.model_epoch();
     c.window = config.window;
-    c.threads = analyzer.threads();
+    c.threads = 1;  // format field; the analyzer is serial
     c.ingested = ingested;
     c.published = server.stats().published;
     c.acked = acked_total;
@@ -1267,7 +1258,7 @@ int main(int argc, char** argv) {
         "[--trace=] [--model=] [--registry=] [--html=] "
         "[--system=cassandra|hbase] "
         "[--fault=error-wal|delay-wal|error-flush|delay-flush] "
-        "[--minutes=N] [--window-sec=N] [--threads=N] [--seed=N] "
+        "[--minutes=N] [--window-sec=N] [--seed=N] "
         "[--metrics-out=<file>] [--stats] "
         "[--listen=PORT] [--port-file=<file>] [--once] "
         "[--checkpoint-dir=<dir>] [--checkpoint-every=N] "
