@@ -24,8 +24,9 @@ struct AnalyzerMetrics {
             "Hot model reloads applied at a window boundary.")),
         model_epoch(obs::MetricsRegistry::global().gauge(
             "saad_analyzer_model_epoch",
-            "Model epoch of the most recently swapped analyzer (0 = the "
-            "construction model, +1 per applied swap).")) {}
+            "Model epoch of the most recently swapped or restored analyzer "
+            "(0 = the construction model, +1 per applied swap; a restore "
+            "continues from the checkpoint's epoch).")) {}
 
   static AnalyzerMetrics& get() {
     static AnalyzerMetrics* metrics = new AnalyzerMetrics();
@@ -57,9 +58,14 @@ std::vector<Anomaly> AnalyzerPool::finish() {
   return out;
 }
 
-bool AnalyzerPool::restore_state(std::span<const std::uint8_t> in) {
+bool AnalyzerPool::restore_state(std::span<const std::uint8_t> in,
+                                 std::uint64_t model_epoch) {
   if (!detector_.restore_state(in)) return false;
   restored_next_window_ = detector_.next_window_to_close();
+  model_epoch_ = model_epoch;
+  if constexpr (obs::kMetricsEnabled)
+    AnalyzerMetrics::get().model_epoch.set(
+        static_cast<std::int64_t>(model_epoch_));
   return true;
 }
 

@@ -1,7 +1,7 @@
-// The analyzer behind `detect`, `serve` and Monitor: one AnomalyDetector plus
-// what a long-lived consumer needs on top of it — a model swap staged for the
-// next window boundary, the model epoch, the close cursor a restore recovered,
-// and the saad_analyzer_* metrics.
+// The analyzer that LiveAnalyzer (behind `detect` and `serve`) and Monitor
+// drive: one AnomalyDetector plus what a long-lived consumer needs on top of
+// it — a model swap staged for the next window boundary, the model epoch,
+// the close cursor a restore recovered, and the saad_analyzer_* metrics.
 //
 // Like the paper's centralized analyzer it is serial: every call runs on the
 // one thread that drains the synopsis channel (DESIGN.md §6 says why there is
@@ -47,8 +47,11 @@ class AnalyzerPool {
 
   /// Restores state produced by save_state(). Call before the first
   /// ingest(); false on malformed input. The model is not part of the state —
-  /// construct the analyzer over the restored model first.
-  bool restore_state(std::span<const std::uint8_t> in);
+  /// construct the analyzer over the restored model first. The model epoch
+  /// (and its gauge) continues from `model_epoch`, the epoch recorded next to
+  /// the state (a checkpoint's).
+  bool restore_state(std::span<const std::uint8_t> in,
+                     std::uint64_t model_epoch = 0);
 
   /// Close cursor recovered by the last restore_state() (0 before): the
   /// oldest window index still open, for resuming watermark bookkeeping.

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <system_error>
 
-#include "common/crc32c.h"
 #include "core/telemetry.h"
 #include "core/varint.h"
 #include "obs/flight_recorder.h"
@@ -72,24 +71,7 @@ struct CheckpointMetrics {
 
 void put_section(CheckpointSection id, std::span<const std::uint8_t> payload,
                  std::vector<std::uint8_t>& out) {
-  const auto id_byte = static_cast<std::uint8_t>(id);
-  out.push_back(id_byte);
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  std::uint32_t crc = crc32c({&id_byte, 1});
-  crc = crc32c(payload, crc);
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  out.insert(out.end(), payload.begin(), payload.end());
-}
-
-std::uint32_t get_u32le(std::span<const std::uint8_t> in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(in[static_cast<std::size_t>(i)])
-         << (8 * i);
-  return v;
+  put_frame(static_cast<std::uint8_t>(id), payload, out);
 }
 
 /// Slices the next section off `in`. False on truncation, oversized length,
@@ -97,42 +79,13 @@ std::uint32_t get_u32le(std::span<const std::uint8_t> in) {
 bool get_section(std::span<const std::uint8_t>& in, std::uint8_t& id,
                  std::span<const std::uint8_t>& payload) {
   if (in.size() < kCheckpointSectionHeader) return false;
-  id = in[0];
-  const std::uint32_t len = get_u32le(in.subspan(1, 4));
-  const std::uint32_t want = get_u32le(in.subspan(5, 4));
-  if (len > kMaxCheckpointSection) return false;
-  if (in.size() < kCheckpointSectionHeader + len) return false;
-  payload = in.subspan(kCheckpointSectionHeader, len);
-  std::uint32_t crc = crc32c({&id, 1});
-  crc = crc32c(payload, crc);
-  if (crc != want) return false;
-  in = in.subspan(kCheckpointSectionHeader + len);
-  return true;
-}
-
-void put_signature(const Signature& sig, std::vector<std::uint8_t>& out) {
-  put_varint(sig.points().size(), out);
-  LogPointId prev = 0;
-  for (const LogPointId p : sig.points()) {
-    put_varint(static_cast<std::uint64_t>(p - prev), out);
-    prev = p;
-  }
-}
-
-bool get_signature(std::span<const std::uint8_t>& in, Signature& sig) {
-  std::uint64_t count = 0;
-  if (!get_varint(in, count) || count > 0x10000) return false;
-  std::vector<LogPointId> points;
-  points.reserve(count);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(in, delta)) return false;
-    prev += delta;
-    if (prev > 0xFFFF) return false;
-    points.push_back(static_cast<LogPointId>(prev));
-  }
-  sig = Signature(std::move(points));
+  const FrameHeader header = get_frame_header(in.data());
+  id = header.id;
+  if (header.payload_len > kMaxCheckpointSection) return false;
+  if (in.size() < kCheckpointSectionHeader + header.payload_len) return false;
+  payload = in.subspan(kCheckpointSectionHeader, header.payload_len);
+  if (frame_crc(id, payload) != header.crc) return false;
+  in = in.subspan(kCheckpointSectionHeader + header.payload_len);
   return true;
 }
 

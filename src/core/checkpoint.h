@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "core/detector.h"
+#include "core/varint.h"
 
 namespace saad::core {
 
@@ -58,8 +59,8 @@ inline constexpr std::uint64_t kCheckpointVersion = 1;
 /// damage (and keeps a corrupt file from making the reader allocate GBs).
 inline constexpr std::size_t kMaxCheckpointSection = 64 * 1024 * 1024;
 
-/// Section header size: id + payload_len + crc32c.
-inline constexpr std::size_t kCheckpointSectionHeader = 1 + 4 + 4;
+/// Section header size: id + payload_len + crc32c (varint.h's frame layout).
+inline constexpr std::size_t kCheckpointSectionHeader = kFrameHeaderSize;
 
 enum class CheckpointSection : std::uint8_t {
   kMeta = 1,
@@ -105,7 +106,7 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& c);
 std::optional<Checkpoint> read_checkpoint_file(const std::string& path);
 
 /// A directory of `ckpt-<sequence>.saadckp` files with newest-valid
-/// fallback. Not thread-safe; one writer (the serve consumer loop) owns it.
+/// fallback. Not thread-safe; one writer (serve's LiveAnalyzer) owns it.
 class CheckpointDir {
  public:
   explicit CheckpointDir(std::string dir);

@@ -267,37 +267,10 @@ void AnomalyDetector::rebind_model(const OutlierModel* model) {
 
 namespace {
 
-// Detector-state codec (version 1). All integers varint; signatures are
-// count + delta-encoded sorted points (the model_io.cpp idiom). Windows,
-// keys and signatures are written in ascending order, so equal states
-// encode equal bytes.
+// Detector-state codec (version 1). All integers varint; signatures use
+// put_signature() (feature.h). Windows, keys and signatures are written in
+// ascending order, so equal states encode equal bytes.
 constexpr std::uint64_t kDetectorStateVersion = 1;
-
-void put_signature(const Signature& sig, std::vector<std::uint8_t>& out) {
-  put_varint(sig.points().size(), out);
-  LogPointId prev = 0;
-  for (const LogPointId p : sig.points()) {
-    put_varint(static_cast<std::uint64_t>(p - prev), out);
-    prev = p;
-  }
-}
-
-bool get_signature(std::span<const std::uint8_t>& in, Signature& sig) {
-  std::uint64_t count = 0;
-  if (!get_varint(in, count) || count > 0x10000) return false;
-  std::vector<LogPointId> points;
-  points.reserve(count);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t delta = 0;
-    if (!get_varint(in, delta)) return false;
-    prev += delta;
-    if (prev > 0xFFFF) return false;
-    points.push_back(static_cast<LogPointId>(prev));
-  }
-  sig = Signature(std::move(points));
-  return true;
-}
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/varint.h"
+
 namespace saad::core {
 
 Signature::Signature(std::vector<LogPointId> points)
@@ -43,6 +45,32 @@ std::size_t SignatureHash::operator()(const Signature& s) const noexcept {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+void put_signature(const Signature& sig, std::vector<std::uint8_t>& out) {
+  put_varint(sig.points().size(), out);
+  LogPointId prev = 0;
+  for (const LogPointId p : sig.points()) {
+    put_varint(static_cast<std::uint64_t>(p - prev), out);
+    prev = p;
+  }
+}
+
+bool get_signature(std::span<const std::uint8_t>& in, Signature& sig) {
+  std::uint64_t count = 0;
+  if (!get_varint(in, count) || count > 0x10000) return false;
+  std::vector<LogPointId> points;
+  points.reserve(count);
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t delta = 0;
+    if (!get_varint(in, delta)) return false;
+    prev += delta;
+    if (prev > 0xFFFF) return false;
+    points.push_back(static_cast<LogPointId>(prev));
+  }
+  sig = Signature(std::move(points));
+  return true;
 }
 
 Feature make_feature(const Synopsis& synopsis) {

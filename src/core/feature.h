@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +45,14 @@ class Signature {
 struct SignatureHash {
   std::size_t operator()(const Signature& s) const noexcept;
 };
+
+/// Signature codec shared by model files, detector state and checkpoints:
+/// varint point count, then the sorted points delta-encoded as varints.
+void put_signature(const Signature& sig, std::vector<std::uint8_t>& out);
+
+/// Reads one put_signature() encoding from the front of `in`, advancing it.
+/// False on truncation, more than 0x10000 points, or a point beyond 0xFFFF.
+bool get_signature(std::span<const std::uint8_t>& in, Signature& sig);
 
 /// The analyzer's per-task feature vector.
 struct Feature {

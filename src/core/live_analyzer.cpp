@@ -1,0 +1,183 @@
+#include "core/live_analyzer.h"
+
+#include <algorithm>
+#include <chrono>
+
+#include "obs/span.h"
+
+namespace saad::core {
+
+LiveAnalyzer::LiveAnalyzer(OutlierModel model,
+                           std::vector<std::uint8_t> model_bytes,
+                           Options options)
+    : options_(std::move(options)),
+      progressive_(options_.stats != nullptr || options_.tracer != nullptr ||
+                   options_.checkpoints != nullptr),
+      model_(std::make_unique<OutlierModel>(std::move(model))),
+      model_bytes_(std::move(model_bytes)),
+      pool_(std::make_unique<AnalyzerPool>(model_.get(), options_.config)) {
+  // Numbering continues above every file ever written there, valid or not.
+  if (options_.checkpoints != nullptr)
+    next_sequence_ = options_.checkpoints->max_sequence() + 1;
+}
+
+bool LiveAnalyzer::load_registry(std::vector<std::uint8_t> bytes) {
+  if (!registry_.load(bytes)) return false;
+  registry_bytes_ = std::move(bytes);
+  return true;
+}
+
+const char* LiveAnalyzer::resume(const Checkpoint& c) {
+  if (c.window != options_.config.window)
+    return "checkpoint window differs from the analyzer's";
+  // The checkpoint's model and registry are what its open windows were
+  // classified under, so they win over the ones given at construction.
+  if (!c.model.empty()) {
+    auto m = OutlierModel::load(c.model);
+    if (!m) return "checkpoint model is malformed";
+    auto model = std::make_unique<OutlierModel>(std::move(*m));
+    pool_ = std::make_unique<AnalyzerPool>(model.get(), options_.config);
+    model_ = std::move(model);
+    model_bytes_ = c.model;
+  }
+  if (!c.registry.empty() && !load_registry(c.registry))
+    return "checkpoint registry is malformed";
+  if (!pool_->restore_state(c.analyzer, c.model_epoch))
+    return "checkpoint analyzer state is malformed";
+  verdicts_ = c.anomalies;
+  // Windows below the restored cursor closed before the checkpoint.
+  next_window_ = pool_->restored_next_window();
+  status_.ingested.store(c.ingested, std::memory_order_relaxed);
+  status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
+  status_.model_epoch.store(c.model_epoch, std::memory_order_relaxed);
+  status_.checkpoint_sequence.store(c.sequence, std::memory_order_relaxed);
+  return nullptr;
+}
+
+void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
+  consumed_ += batch.size();
+  if (options_.tracer != nullptr) options_.tracer->on_dequeued(consumed_);
+  for (const Synopsis& s : batch) {
+    pool_->ingest(s);
+    if (!progressive_) continue;
+    watermark_ = std::max(watermark_, s.start + s.duration);
+    if (options_.stats != nullptr) {
+      const auto w = static_cast<std::size_t>(std::max<UsTime>(s.start, 0) /
+                                              options_.config.window);
+      ++window_counts_[std::max(w, next_window_)].synopses;
+    }
+  }
+  if (options_.tracer != nullptr) options_.tracer->on_assigned(consumed_);
+  status_.ingested.store(ingested() + batch.size(), std::memory_order_relaxed);
+  if (progressive_) close_ready_windows();
+}
+
+void LiveAnalyzer::close_ready_windows() {
+  const UsTime window = options_.config.window;
+  const UsTime safe = watermark_ > 2 * window ? watermark_ - 2 * window : 0;
+  if (static_cast<UsTime>(next_window_ + 1) * window > safe) return;
+  absorb(pool_->advance_to(safe));
+  for (; static_cast<UsTime>(next_window_ + 1) * window <= safe; ++next_window_)
+    if (options_.stats != nullptr) print_window(next_window_);
+  status_.watermark_us.store(safe, std::memory_order_relaxed);
+  const std::uint64_t closes =
+      status_.close_barriers.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (options_.checkpoints != nullptr &&
+      closes % options_.checkpoint_every == 0)
+    checkpoint("window close");
+}
+
+void LiveAnalyzer::finish() {
+  absorb(pool_->finish());
+  if (options_.stats == nullptr) return;
+  std::size_t last = next_window_;
+  if (!window_counts_.empty())
+    last = std::max(last, window_counts_.rbegin()->first);
+  for (; next_window_ <= last; ++next_window_) print_window(next_window_);
+}
+
+void LiveAnalyzer::absorb(std::vector<Anomaly> closed) {
+  if (options_.tracer != nullptr) options_.tracer->on_window_close(consumed_);
+  if (staged_model_ != nullptr) {  // the close applied the swap
+    model_ = std::move(staged_model_);
+    model_bytes_ = std::move(staged_model_bytes_);
+  }
+  for (const Anomaly& a : closed) {
+    if (options_.stats == nullptr) break;
+    auto& counts = window_counts_[a.window];
+    ++(a.kind == AnomalyKind::kFlow ? counts.flow : counts.perf);
+  }
+  verdicts_.insert(verdicts_.end(), std::make_move_iterator(closed.begin()),
+                   std::make_move_iterator(closed.end()));
+  if (options_.tracer != nullptr) options_.tracer->on_verdict_emit(consumed_);
+  status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
+  status_.model_epoch.store(pool_->model_epoch(), std::memory_order_relaxed);
+}
+
+void LiveAnalyzer::print_window(std::size_t w) {
+  const WindowCounts counts = window_counts_[w];
+  window_counts_.erase(w);
+  const UsTime window = options_.config.window;
+  std::fprintf(options_.stats,
+               "[stats] window %3zu [%5.1f, %5.1f min): %6zu synopses, "
+               "%zu anomalies (%zu flow, %zu performance)\n",
+               w, to_min(static_cast<UsTime>(w) * window),
+               to_min(static_cast<UsTime>(w + 1) * window), counts.synopses,
+               counts.flow + counts.perf, counts.flow, counts.perf);
+  std::fflush(options_.stats);
+}
+
+const OutlierModel* LiveAnalyzer::stage_model(
+    std::vector<std::uint8_t> model_bytes) {
+  auto m = OutlierModel::load(model_bytes);
+  if (!m) return nullptr;
+  // The pool holds the staged pointer until the next close applies it.
+  auto fresh = std::make_unique<OutlierModel>(std::move(*m));
+  pool_->swap_model(fresh.get());
+  staged_model_ = std::move(fresh);
+  staged_model_bytes_ = std::move(model_bytes);
+  return staged_model_.get();
+}
+
+Checkpoint LiveAnalyzer::capture() const {
+  Checkpoint c;
+  c.model_epoch = pool_->model_epoch();
+  c.window = options_.config.window;
+  c.threads = 1;  // format field; the analyzer is serial
+  c.ingested = ingested();
+  c.model = model_bytes_;
+  c.registry = registry_bytes_;
+  pool_->save_state(c.analyzer);
+  c.anomalies = verdicts_;
+  return c;
+}
+
+bool LiveAnalyzer::checkpoint(const char* why) {
+  if (options_.checkpoints == nullptr) return false;
+  Checkpoint c = capture();
+  c.sequence = next_sequence_;
+  c.acked = consumed_;
+  c.published = options_.published ? options_.published() : consumed_;
+  if (!options_.checkpoints->write(c)) {
+    std::fprintf(stderr, "serve: checkpoint %llu failed to write to %s\n",
+                 static_cast<unsigned long long>(c.sequence),
+                 options_.checkpoints->dir().c_str());
+    return false;
+  }
+  ++next_sequence_;
+  // Published only after the validated write landed, so the status never
+  // names a checkpoint that a restart would reject.
+  status_.checkpoint_sequence.store(c.sequence, std::memory_order_relaxed);
+  status_.checkpoint_wall_us.store(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count(),
+      std::memory_order_relaxed);
+  std::fprintf(stderr,
+               "serve: checkpoint %llu (%s: %llu synopses, %zu verdicts)\n",
+               static_cast<unsigned long long>(c.sequence), why,
+               static_cast<unsigned long long>(ingested()), verdicts_.size());
+  return true;
+}
+
+}  // namespace saad::core

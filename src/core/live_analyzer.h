@@ -1,0 +1,111 @@
+// The live analyzer: the one consumer that turns a synopsis stream into
+// windowed verdicts (paper §3.3, Fig. 5), behind `saad_offline detect` and
+// `serve`. Around an AnalyzerPool it owns the model and its bytes, a staged
+// replacement, the verdicts, checkpoints, and a status any thread may read;
+// all else runs on the thread that drains the channel (DESIGN.md §6).
+//
+// When something consumes closes as they happen (a `[stats]` sink,
+// checkpoints, span tracing), windows close two windows behind the newest
+// synopsis end time, checked once per ingest() call, so ordinary late
+// arrivals still land in their own window; otherwise at finish().
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <map>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "core/analyzer_pool.h"
+#include "core/checkpoint.h"
+#include "core/log_registry.h"
+
+namespace saad::obs {
+class SpanTracer;
+}
+
+namespace saad::core {
+
+/// Published by the consumer as it goes, each field on its own.
+struct LiveStatus {
+  std::atomic<std::uint64_t> ingested{0};     // resumed synopses included
+  std::atomic<std::int64_t> watermark_us{0};  // point of the last close
+  std::atomic<std::uint64_t> close_barriers{0};  // closes since start
+  std::atomic<std::uint64_t> verdicts{0};
+  std::atomic<std::uint64_t> model_epoch{0};
+  std::atomic<std::uint64_t> checkpoint_sequence{0};  // written or resumed
+  std::atomic<std::int64_t> checkpoint_wall_us{0};    // 0: none written yet
+};
+
+class LiveAnalyzer {
+ public:
+  struct Options {
+    DetectorConfig config;
+    std::FILE* stats = nullptr;  // one `[stats]` line per closed window
+    obs::SpanTracer* tracer = nullptr;  // stamps the consumer's span hops
+    /// Serve's checkpoints, reported on stderr: one per checkpoint() call
+    /// and one after every `checkpoint_every`-th close (at least 1).
+    CheckpointDir* checkpoints = nullptr;
+    std::uint64_t checkpoint_every = 1;
+    /// The producer watermark checkpoints record (serve: the server's
+    /// published count); unset, the synopses this engine ingested.
+    std::function<std::uint64_t()> published;
+  };
+
+  /// An engine over `model`, whose encoding `model_bytes` checkpoints carry.
+  LiveAnalyzer(OutlierModel model, std::vector<std::uint8_t> model_bytes,
+               Options options);
+
+  /// The dictionary for checkpoints and verdicts; false if it won't decode.
+  bool load_registry(std::vector<std::uint8_t> bytes);
+
+  /// Continues from `checkpoint` before the first ingest(): its model and
+  /// registry, if any, replace the current ones, and all else carries on.
+  /// Null, or why it does not fit (the engine is then unusable).
+  const char* resume(const Checkpoint& checkpoint);
+
+  /// Ingests `batch`, then closes the windows the watermark has passed.
+  void ingest(std::span<const Synopsis> batch);
+  void finish();  // closes every window still open
+
+  /// Stages a model for the next window close; null if the bytes won't decode.
+  const OutlierModel* stage_model(std::vector<std::uint8_t> model_bytes);
+
+  /// A checkpoint but for the sequence and watermarks checkpoint() adds.
+  Checkpoint capture() const;
+  bool checkpoint(const char* why);  // false: no directory or write failed
+
+  const std::vector<Anomaly>& verdicts() const { return verdicts_; }
+  std::uint64_t ingested() const { return status_.ingested.load(); }
+  const LogRegistry& registry() const { return registry_; }
+  const LiveStatus& status() const { return status_; }
+
+ private:
+  void close_ready_windows();
+  /// Takes a close's verdicts and retires the model the close swapped out.
+  void absorb(std::vector<Anomaly> closed);
+  void print_window(std::size_t w);
+
+  Options options_;
+  bool progressive_;
+  std::unique_ptr<OutlierModel> model_;
+  std::vector<std::uint8_t> model_bytes_;
+  std::unique_ptr<OutlierModel> staged_model_;
+  std::vector<std::uint8_t> staged_model_bytes_;
+  LogRegistry registry_;
+  std::vector<std::uint8_t> registry_bytes_;
+  std::unique_ptr<AnalyzerPool> pool_;
+  std::vector<Anomaly> verdicts_;
+  std::uint64_t consumed_ = 0;  // synopses ingested by this engine
+  std::uint64_t next_sequence_ = 1;
+  UsTime watermark_ = 0;         // newest synopsis end time
+  std::size_t next_window_ = 0;  // oldest window not yet closed
+  struct WindowCounts { std::size_t synopses = 0, flow = 0, perf = 0; };
+  std::map<std::size_t, WindowCounts> window_counts_;  // for [stats]
+  LiveStatus status_;
+};
+
+}  // namespace saad::core

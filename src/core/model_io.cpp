@@ -43,12 +43,7 @@ void OutlierModel::save(std::vector<std::uint8_t>& out) const {
     put_double(sm.train_flow_outlier_rate, out);
     put_varint(sm.signatures.size(), out);
     for (const auto& [sig, ss] : sm.signatures) {
-      put_varint(sig.points().size(), out);
-      LogPointId prev = 0;
-      for (const LogPointId p : sig.points()) {
-        put_varint(static_cast<std::uint64_t>(p - prev), out);
-        prev = p;
-      }
+      put_signature(sig, out);
       put_varint(ss.task_count, out);
       put_double(ss.share, out);
       const std::uint64_t flags =
@@ -104,19 +99,8 @@ std::optional<OutlierModel> OutlierModel::load(
     if (!get_varint(in, num_sigs) || num_sigs > 0x100000) return std::nullopt;
     std::vector<SignatureTable::Entry> entries;
     for (std::uint64_t g = 0; g < num_sigs; ++g) {
-      std::uint64_t num_points = 0;
-      if (!get_varint(in, num_points) || num_points > 0x10000)
-        return std::nullopt;
-      std::vector<LogPointId> points;
-      points.reserve(num_points);
-      std::uint64_t prev = 0;
-      for (std::uint64_t p = 0; p < num_points; ++p) {
-        std::uint64_t delta = 0;
-        if (!get_varint(in, delta)) return std::nullopt;
-        prev += delta;
-        if (prev > 0xFFFF) return std::nullopt;
-        points.push_back(static_cast<LogPointId>(prev));
-      }
+      Signature sig;
+      if (!get_signature(in, sig)) return std::nullopt;
       SignatureStats ss;
       if (!get_varint(in, ss.task_count)) return std::nullopt;
       if (!get_double(in, ss.share) || !valid_rate(ss.share))
@@ -134,7 +118,7 @@ std::optional<OutlierModel> OutlierModel::load(
           !valid_rate(ss.train_perf_outlier_rate)) {
         return std::nullopt;
       }
-      entries.emplace_back(Signature(std::move(points)), ss);
+      entries.emplace_back(std::move(sig), ss);
     }
     sm.signatures = SignatureTable(std::move(entries));
     model.stages_.emplace(sm.stage, std::move(sm));

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/detector.h"
 #include "core/incidents.h"
 #include "core/log_registry.h"
@@ -44,6 +45,6 @@ std::string to_json(const std::vector<Incident>& incidents,
                     const JsonReportOptions& options = {});
 
 /// RFC 8259 string escaping (quotes, backslashes, control characters).
-std::string json_escape(std::string_view text);
+using saad::json_escape;
 
 }  // namespace saad::core

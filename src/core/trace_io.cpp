@@ -6,6 +6,7 @@
 
 #include "common/crc32c.h"
 #include "core/telemetry.h"
+#include "core/varint.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -111,16 +112,6 @@ class ReaderDamageScope {
   const TraceStats& stats_;
   TraceStats before_;
 };
-
-void put_u32le(std::uint32_t v, std::uint8_t* dst) {
-  for (int i = 0; i < 4; ++i) dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32le(const std::uint8_t* src) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace
 

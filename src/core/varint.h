@@ -1,10 +1,14 @@
-// LEB128-style varint primitives shared by the synopsis codec, the trace
-// file format and the model serializer.
+// Byte-level codec primitives shared by the synopsis codec, the trace file
+// format, the model serializer, checkpoints and the SAADNET1 wire:
+// LEB128-style varints, zig-zag, doubles, little-endian u32s, and the
+// CRC-framed record header.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "common/crc32c.h"
 
 namespace saad::core {
 
@@ -76,6 +80,55 @@ inline bool get_double(std::span<const std::uint8_t>& in, double& d) {
   in = in.subspan(8);
   __builtin_memcpy(&d, &bits, sizeof(d));
   return true;
+}
+
+inline void put_u32le(std::uint32_t v, std::uint8_t* dst) {
+  for (int i = 0; i < 4; ++i)
+    dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+inline std::uint32_t get_u32le(const std::uint8_t* src) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
+  return v;
+}
+
+// ---- CRC-framed records ---------------------------------------------------
+// SAADNET1 wire frames and SAADCKP1 checkpoint sections share one layout:
+//
+//   id (1 B) | payload length (u32 LE) | crc32c (u32 LE) | payload
+//
+// The CRC32C runs over the id byte and then the payload, so a flipped id and
+// a damaged body are both caught. Each format bounds the length itself.
+
+inline constexpr std::size_t kFrameHeaderSize = 1 + 4 + 4;
+
+inline std::uint32_t frame_crc(std::uint8_t id,
+                               std::span<const std::uint8_t> payload) {
+  return crc32c(payload, crc32c(std::span(&id, 1)));
+}
+
+/// Appends the framed record (header + payload) to `out`.
+inline void put_frame(std::uint8_t id, std::span<const std::uint8_t> payload,
+                      std::vector<std::uint8_t>& out) {
+  std::uint8_t header[kFrameHeaderSize];
+  header[0] = id;
+  put_u32le(static_cast<std::uint32_t>(payload.size()), header + 1);
+  put_u32le(frame_crc(id, payload), header + 5);
+  out.insert(out.end(), header, header + kFrameHeaderSize);
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+struct FrameHeader {
+  std::uint8_t id = 0;
+  std::uint32_t payload_len = 0;
+  std::uint32_t crc = 0;
+};
+
+/// Reads the kFrameHeaderSize bytes at `src`; validation is the caller's.
+inline FrameHeader get_frame_header(const std::uint8_t* src) {
+  return {src[0], get_u32le(src + 1), get_u32le(src + 5)};
 }
 
 }  // namespace saad::core

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace saad::flow {
 
 namespace {
@@ -16,38 +18,6 @@ std::string dot_escape(std::string_view text) {
       continue;
     }
     out += c;
-  }
-  return out;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

@@ -2,33 +2,11 @@
 
 #include <cstring>
 
-#include "common/crc32c.h"
 #include "core/varint.h"
 
 namespace saad::net {
 
 namespace {
-
-void put_u32le(std::uint32_t v, std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-/// CRC over the type byte then the payload, so both are covered.
-std::uint32_t frame_crc(FrameType type, std::span<const std::uint8_t> payload) {
-  const auto type_byte = static_cast<std::uint8_t>(type);
-  const std::uint32_t seed = crc32c(std::span(&type_byte, 1));
-  return crc32c(payload, seed);
-}
 
 bool valid_type(std::uint8_t byte) {
   return byte >= static_cast<std::uint8_t>(FrameType::kHello) &&
@@ -53,10 +31,7 @@ const char* to_string(WireError error) {
 
 void encode_frame(FrameType type, std::span<const std::uint8_t> payload,
                   std::vector<std::uint8_t>& out) {
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u32le(static_cast<std::uint32_t>(payload.size()), out);
-  put_u32le(frame_crc(type, payload), out);
-  out.insert(out.end(), payload.begin(), payload.end());
+  core::put_frame(static_cast<std::uint8_t>(type), payload, out);
 }
 
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>& out) {
@@ -130,13 +105,12 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
   }
 
   while (buffer_.size() - pos >= kFrameHeaderBytes) {
-    const std::uint8_t* header = buffer_.data() + pos;
-    const std::uint8_t type_byte = header[0];
-    const std::uint32_t len = get_u32le(header + 1);
-    const std::uint32_t crc = get_u32le(header + 5);
+    const core::FrameHeader header =
+        core::get_frame_header(buffer_.data() + pos);
+    const std::uint32_t len = header.payload_len;
     // Validate before waiting for (or allocating) the payload: a corrupt
     // length must not stall the connection or balloon the buffer.
-    if (!valid_type(type_byte)) {
+    if (!valid_type(header.id)) {
       error_ = WireError::kBadType;
       break;
     }
@@ -146,12 +120,12 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
     }
     if (buffer_.size() - pos - kFrameHeaderBytes < len) break;  // partial
     Frame frame;
-    frame.type = static_cast<FrameType>(type_byte);
+    frame.type = static_cast<FrameType>(header.id);
     frame.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(
                                                pos + kFrameHeaderBytes),
                          buffer_.begin() + static_cast<std::ptrdiff_t>(
                                                pos + kFrameHeaderBytes + len));
-    if (frame_crc(frame.type, frame.payload) != crc) {
+    if (core::frame_crc(header.id, frame.payload) != header.crc) {
       error_ = WireError::kBadCrc;
       break;
     }

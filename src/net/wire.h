@@ -42,6 +42,7 @@
 
 #include "core/ids.h"
 #include "core/synopsis.h"
+#include "core/varint.h"
 
 namespace saad::net {
 
@@ -55,7 +56,7 @@ inline constexpr std::uint64_t kProtocolVersion = 1;
 inline constexpr std::size_t kMaxFramePayload = 4 * 1024 * 1024;
 
 /// Fixed frame header size: type + payload_len + crc32c.
-inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
+inline constexpr std::size_t kFrameHeaderBytes = core::kFrameHeaderSize;
 
 enum class FrameType : std::uint8_t {
   kHello = 1,

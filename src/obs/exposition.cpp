@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace saad::obs {
 
 namespace {
@@ -36,39 +38,6 @@ std::string escape_label_value(const std::string& text) {
       out += "\\n";
     else
       out += c;
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
   }
   return out;
 }

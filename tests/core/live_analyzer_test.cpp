@@ -1,0 +1,194 @@
+// LiveAnalyzer, the engine behind `saad_offline detect` and `serve`, driven
+// in process on the checkpoint suite's seeded stream:
+//  * capture at a mid-stream close, resume a fresh engine from the encoded
+//    checkpoint and continue: verdicts, ingested count and the final capture
+//    equal an uninterrupted run's (the in-process twin of the
+//    saad_offline_crash_restart_t1 acceptance test);
+//  * a model staged mid-window applies at the next close, and captures carry
+//    the bytes of the model that is applied;
+//  * a resumed engine continues the checkpoint's model epoch;
+//  * a checkpoint that does not fit is refused, saying why.
+#include "core/live_analyzer.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <memory>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "testutil/synthetic_stream.h"
+
+namespace saad::core {
+namespace {
+
+using testutil::dump;
+using testutil::make_trace;
+
+constexpr std::size_t kBatch = 64;
+
+std::vector<std::uint8_t> encode(const Checkpoint& c) {
+  std::vector<std::uint8_t> out;
+  encode_checkpoint(c, out);
+  return out;
+}
+
+class LiveAnalyzerTest : public ::testing::Test {
+ protected:
+  LiveAnalyzerTest() : stream(make_trace(12, 12000, 0.05, 0.08)) {
+    OutlierModel::train(make_trace(11, 20000, 0.002, 0.005)).save(model_a);
+    OutlierModel::train(make_trace(21, 20000, 0.02, 0.03)).save(model_b);
+    LogRegistry registry;
+    const StageId stage = registry.register_stage("Handler");
+    registry.register_log_point(stage, Level::kInfo, "recv %");
+    registry.save(registry_bytes);
+  }
+  ~LiveAnalyzerTest() override { std::fclose(stats); }
+
+  /// An engine over `model_bytes` at 1 s windows. Its `[stats]` sink makes
+  /// it close windows as the stream passes them: about every 1400 synopses
+  /// of the 8.4 s stream.
+  std::unique_ptr<LiveAnalyzer> make_engine(
+      const std::vector<std::uint8_t>& model_bytes) const {
+    LiveAnalyzer::Options options;
+    options.config.window = sec(1);
+    options.stats = stats;
+    auto model = OutlierModel::load(model_bytes);
+    EXPECT_TRUE(model.has_value());
+    return std::make_unique<LiveAnalyzer>(std::move(*model), model_bytes,
+                                          std::move(options));
+  }
+
+  /// The kBatch-sized batch starting at synopsis `i`.
+  std::span<const Synopsis> batch(std::size_t i) const {
+    return std::span(stream).subspan(i, std::min(kBatch, stream.size() - i));
+  }
+
+  /// Ingests batches until a window closes; the index after the last batch.
+  std::size_t ingest_through_close(LiveAnalyzer& engine, std::size_t i) const {
+    const auto& closes = engine.status().close_barriers;
+    for (const std::uint64_t before = closes.load();
+         i < stream.size() && closes.load() == before; i += kBatch) {
+      engine.ingest(batch(i));
+    }
+    return i;
+  }
+
+  std::vector<Synopsis> stream;
+  std::vector<std::uint8_t> model_a, model_b, registry_bytes;
+  std::FILE* stats = std::tmpfile();
+};
+
+TEST_F(LiveAnalyzerTest, ResumeFromMidStreamCaptureMatchesUninterruptedRun) {
+  // Uninterrupted: capture at the first close past the middle of the stream.
+  auto golden = make_engine(model_a);
+  ASSERT_TRUE(golden->load_registry(registry_bytes));
+  std::size_t i = 0;
+  while (i < stream.size() / 2) i = ingest_through_close(*golden, i);
+  const std::size_t cut = i;
+  const std::uint64_t closes_at_cut = golden->status().close_barriers.load();
+  const Checkpoint mid = golden->capture();
+  ASSERT_FALSE(mid.anomalies.empty());  // verdicts ride in the checkpoint
+  for (; i < stream.size(); i += kBatch) golden->ingest(batch(i));
+  const auto golden_open = encode(golden->capture());
+  golden->finish();
+
+  // Crash right after that close. A fresh engine, built over another model
+  // and no registry, takes both from the checkpoint and continues.
+  const auto decoded = decode_checkpoint(encode(mid));
+  ASSERT_TRUE(decoded.has_value());
+  auto resumed = make_engine(model_b);
+  ASSERT_EQ(resumed->resume(*decoded), nullptr);
+  EXPECT_EQ(resumed->ingested(), cut);
+  EXPECT_EQ(resumed->status().ingested.load(), cut);
+  EXPECT_EQ(resumed->status().verdicts.load(), mid.anomalies.size());
+  for (i = cut; i < stream.size(); i += kBatch) resumed->ingest(batch(i));
+  EXPECT_EQ(encode(resumed->capture()), golden_open);  // open windows too
+  EXPECT_EQ(resumed->status().close_barriers.load(),  // same close points
+            golden->status().close_barriers.load() - closes_at_cut);
+  resumed->finish();
+
+  EXPECT_EQ(dump(resumed->verdicts()), dump(golden->verdicts()));
+  EXPECT_EQ(resumed->ingested(), golden->ingested());
+  EXPECT_EQ(resumed->ingested(), stream.size());
+  EXPECT_EQ(encode(resumed->capture()), encode(golden->capture()));
+  EXPECT_GT(golden->verdicts().size(), mid.anomalies.size());
+}
+
+TEST_F(LiveAnalyzerTest, StagedModelAppliesAtTheNextClose) {
+  auto engine = make_engine(model_a);
+  std::size_t i = ingest_through_close(*engine, 0);
+  engine->ingest(batch(i));  // mid-window
+  i += kBatch;
+  const OutlierModel* staged = engine->stage_model(model_b);
+  ASSERT_NE(staged, nullptr);
+  EXPECT_GT(staged->num_stages(), 0u);
+
+  // Until the next close, the old model is the one checkpoints carry.
+  const std::uint64_t closes = engine->status().close_barriers.load();
+  for (; engine->status().close_barriers.load() == closes; i += kBatch) {
+    const Checkpoint before = engine->capture();
+    EXPECT_EQ(before.model, model_a);
+    EXPECT_EQ(before.model_epoch, 0u);
+    EXPECT_EQ(engine->status().model_epoch.load(), 0u);
+    ASSERT_LT(i, stream.size());
+    engine->ingest(batch(i));
+  }
+  EXPECT_EQ(engine->status().model_epoch.load(), 1u);
+  EXPECT_EQ(engine->capture().model, model_b);
+  EXPECT_EQ(engine->capture().model_epoch, 1u);
+
+  // Bytes that are not a model stage nothing.
+  EXPECT_EQ(engine->stage_model({1, 2, 3}), nullptr);
+  for (; i < stream.size(); i += kBatch) engine->ingest(batch(i));
+  engine->finish();
+  EXPECT_EQ(engine->capture().model_epoch, 1u);
+  EXPECT_EQ(engine->capture().model, model_b);
+}
+
+TEST_F(LiveAnalyzerTest, ResumeContinuesTheCheckpointModelEpoch) {
+  auto first = make_engine(model_a);
+  const std::size_t cut = ingest_through_close(*first, 0);
+  Checkpoint c = first->capture();
+  c.model_epoch = 3;
+
+  auto resumed = make_engine(model_a);
+  ASSERT_EQ(resumed->resume(c), nullptr);
+  EXPECT_EQ(resumed->status().model_epoch.load(), 3u);
+  EXPECT_EQ(resumed->capture().model_epoch, 3u);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(obs::MetricsRegistry::global()
+                  .gauge("saad_analyzer_model_epoch", "")
+                  .value(),
+              3);
+  }
+
+  ASSERT_NE(resumed->stage_model(model_b), nullptr);
+  ingest_through_close(*resumed, cut);
+  EXPECT_EQ(resumed->status().model_epoch.load(), 4u);
+  EXPECT_EQ(resumed->capture().model_epoch, 4u);
+}
+
+TEST_F(LiveAnalyzerTest, CheckpointThatDoesNotFitIsRefused) {
+  auto source = make_engine(model_a);
+  ingest_through_close(*source, 0);
+  const Checkpoint good = source->capture();
+  const auto refuse = [&](const Checkpoint& c, const char* why) {
+    EXPECT_STREQ(make_engine(model_b)->resume(c), why);
+  };
+  Checkpoint wide = good;
+  wide.window = sec(2);
+  refuse(wide, "checkpoint window differs from the analyzer's");
+  Checkpoint bad_model = good;
+  bad_model.model = {1, 2, 3};
+  refuse(bad_model, "checkpoint model is malformed");
+  Checkpoint bad_registry = good;
+  bad_registry.registry = {1, 2, 3};
+  refuse(bad_registry, "checkpoint registry is malformed");
+  Checkpoint bad_state = good;
+  bad_state.analyzer.push_back(0);  // trailing byte
+  refuse(bad_state, "checkpoint analyzer state is malformed");
+}
+
+}  // namespace
+}  // namespace saad::core

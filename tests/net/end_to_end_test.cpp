@@ -12,70 +12,21 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/analyzer_pool.h"
 #include "core/channel.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "testutil/synthetic_stream.h"
 
 namespace saad::net {
 namespace {
 
-using core::Anomaly;
 using core::AnalyzerPool;
 using core::DetectorConfig;
 using core::OutlierModel;
 using core::Synopsis;
-
-/// Full-precision serialization (same as the checkpoint suite's): any drift
-/// in value, order, or count shows up as a string diff.
-std::string dump(const std::vector<Anomaly>& anomalies) {
-  std::string out;
-  char line[256];
-  for (const auto& a : anomalies) {
-    std::snprintf(line, sizeof line,
-                  "w=%zu ws=%lld h=%u s=%u k=%d new=%d p=%.17g prop=%.17g "
-                  "train=%.17g n=%llu out=%llu sig=%s\n",
-                  a.window, static_cast<long long>(a.window_start), a.host,
-                  a.stage, static_cast<int>(a.kind),
-                  a.due_to_new_signature ? 1 : 0, a.p_value, a.proportion,
-                  a.train_proportion, static_cast<unsigned long long>(a.n),
-                  static_cast<unsigned long long>(a.outliers),
-                  a.example_signature.to_string().c_str());
-    out += line;
-  }
-  return out;
-}
-
-Synopsis make(Rng& rng, UsTime start, double rare_rate, double slow_rate) {
-  constexpr core::StageId kStages = 12;
-  constexpr core::HostId kHosts = 6;
-  Synopsis s;
-  s.stage = static_cast<core::StageId>(rng.next_below(kStages));
-  s.host = static_cast<core::HostId>(rng.next_below(kHosts));
-  s.start = start;
-  const auto base = static_cast<core::LogPointId>(s.stage * 8);
-  s.log_points.push_back({base, 1});
-  const auto variant = rng.next_below(3);
-  for (std::uint64_t v = 0; v <= variant; ++v)
-    s.log_points.push_back({static_cast<core::LogPointId>(base + 1 + v), 2});
-  if (rng.next_double() < rare_rate)
-    s.log_points.push_back({static_cast<core::LogPointId>(base + 7), 1});
-  s.duration = 1000 + static_cast<UsTime>(rng.next_below(3000));
-  if (rng.next_double() < slow_rate) s.duration *= 40;
-  return s;
-}
-
-std::vector<Synopsis> make_trace(std::uint64_t seed, std::size_t count,
-                                 double rare_rate, double slow_rate) {
-  Rng rng(seed);
-  std::vector<Synopsis> trace;
-  trace.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    trace.push_back(
-        make(rng, static_cast<UsTime>(i) * 700, rare_rate, slow_rate));
-  return trace;
-}
+using testutil::dump;
+using testutil::make_trace;
 
 /// Ships `stream` through a real loopback connection and returns what the
 /// channel delivered, in delivery order.

@@ -43,8 +43,8 @@
 #include <thread>
 
 #include "common/table.h"
-#include "core/analyzer_pool.h"
 #include "core/checkpoint.h"
+#include "core/live_analyzer.h"
 #include "core/report_html.h"
 #include "core/saad.h"
 #include "core/telemetry.h"
@@ -126,10 +126,15 @@ Args parse(int argc, char** argv) {
   if (argc > 1) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    // --threads=N belonged to the retired analyzer pool; scripts still pass
+    // it, so it is accepted and ignored.
+    bool known = arg == "--stats" || arg == "--once" ||
+                 arg.rfind("--threads=", 0) == 0;
     auto value = [&](const char* key) -> std::string {
       const std::string prefix = std::string("--") + key + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return {};
+      if (arg.rfind(prefix, 0) != 0) return {};
+      known = true;
+      return arg.substr(prefix.size());
     };
     if (auto v = value("trace"); !v.empty()) args.trace = v;
     if (auto v = value("model"); !v.empty()) args.model = v;
@@ -172,6 +177,11 @@ Args parse(int argc, char** argv) {
     if (auto v = value("retries"); !v.empty())
       args.retries = parse_int_range(v, "retries", 1, 1'000'000);
     if (auto v = value("spool-trace"); !v.empty()) args.spool_trace = v;
+    // A typo must not silently drop a flag.
+    if (!known) {
+      std::fprintf(stderr, "saad_offline: unknown option %s\n", arg.c_str());
+      std::exit(2);
+    }
   }
   return args;
 }
@@ -189,97 +199,6 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   return std::vector<std::uint8_t>((std::istreambuf_iterator<char>(file)),
                                    std::istreambuf_iterator<char>());
 }
-
-// Live per-window summary for `detect --stats`: one line per closed window,
-// printed while the trace is still streaming. Windows close at a watermark
-// two windows behind the newest synopsis end time, so ordinary out-of-order
-// arrivals (long tasks finishing late) still land in their own window rather
-// than being reattributed to the oldest open one.
-//
-// `serve --checkpoint-dir` reuses the watermark/close-cursor bookkeeping to
-// drive progressive window closes (checkpoints happen at close barriers)
-// with print=false, so checkpointing does not change what reaches stdout.
-class LiveStats {
- public:
-  explicit LiveStats(UsTime window, bool print = true)
-      : window_(window), print_(print) {}
-
-  /// Resume after a checkpoint restore: windows below `next` are already
-  /// closed (their verdicts came back with the checkpoint) and must be
-  /// neither closed again nor reported.
-  void resume_from(std::size_t next) {
-    next_window_ = std::max(next_window_, next);
-  }
-
-  void note(const core::Synopsis& s) {
-    watermark_ = std::max(watermark_, s.start + s.duration);
-    const auto w =
-        static_cast<std::size_t>(std::max<UsTime>(s.start, 0) / window_);
-    synopses_[std::max(w, next_window_)]++;
-  }
-
-  void absorb(const std::vector<core::Anomaly>& batch) {
-    for (const auto& a : batch) {
-      auto& [flow, perf] = anomalies_[a.window];
-      (a.kind == core::AnomalyKind::kFlow ? flow : perf)++;
-    }
-  }
-
-  /// Watermark the analyzer can safely advance to (0 while warming up).
-  UsTime safe_now() const {
-    return watermark_ > 2 * window_ ? watermark_ - 2 * window_ : 0;
-  }
-
-  /// True once `safe` closes a window not yet reported. Gates advance_to()
-  /// so it runs once per window, not once per synopsis.
-  bool window_ready(UsTime safe) const {
-    return static_cast<UsTime>(next_window_ + 1) * window_ <= safe;
-  }
-
-  /// Prints a line for every window whose end is <= `now`.
-  void report_until(UsTime now) {
-    while (static_cast<UsTime>(next_window_ + 1) * window_ <= now) {
-      print_window(next_window_);
-      ++next_window_;
-    }
-  }
-
-  /// Prints every window still pending (after analyzer.finish()).
-  void report_rest() {
-    std::size_t last = next_window_;
-    if (!synopses_.empty()) last = std::max(last, synopses_.rbegin()->first);
-    if (!anomalies_.empty()) last = std::max(last, anomalies_.rbegin()->first);
-    for (; next_window_ <= last; ++next_window_) print_window(next_window_);
-  }
-
- private:
-  void print_window(std::size_t w) {
-    std::size_t n = 0, flow = 0, perf = 0;
-    if (auto it = synopses_.find(w); it != synopses_.end()) {
-      n = it->second;
-      synopses_.erase(it);
-    }
-    if (auto it = anomalies_.find(w); it != anomalies_.end()) {
-      flow = it->second.first;
-      perf = it->second.second;
-      anomalies_.erase(it);
-    }
-    if (!print_) return;
-    std::printf("[stats] window %3zu [%5.1f, %5.1f min): %6zu synopses, "
-                "%zu anomalies (%zu flow, %zu performance)\n",
-                w, to_min(static_cast<UsTime>(w) * window_),
-                to_min(static_cast<UsTime>(w + 1) * window_), n, flow + perf,
-                flow, perf);
-    std::fflush(stdout);
-  }
-
-  UsTime window_;
-  bool print_;
-  UsTime watermark_ = 0;
-  std::size_t next_window_ = 0;
-  std::map<std::size_t, std::size_t> synopses_;
-  std::map<std::size_t, std::pair<std::size_t, std::size_t>> anomalies_;
-};
 
 // Why `reader` cannot be used: a legacy v1 file is named as such.
 void report_unreadable_trace(const char* cmd, const std::string& path,
@@ -467,74 +386,66 @@ int cmd_train(const Args& args) {
   return 0;
 }
 
+// detect's and serve's engine over --model and --registry; null on failure.
+std::unique_ptr<core::LiveAnalyzer> load_engine(
+    const char* cmd, const Args& args, core::LiveAnalyzer::Options options) {
+  auto model_bytes = read_file(args.model);
+  if (!model_bytes) {
+    std::fprintf(stderr, "%s: cannot read --model=%s\n", cmd,
+                 args.model.c_str());
+    return nullptr;
+  }
+  auto model = core::OutlierModel::load(*model_bytes);
+  if (!model) {
+    std::fprintf(stderr, "%s: %s is not a SAAD model\n", cmd,
+                 args.model.c_str());
+    return nullptr;
+  }
+  options.config.window = sec(args.window_sec);
+  auto engine = std::make_unique<core::LiveAnalyzer>(
+      std::move(*model), std::move(*model_bytes), std::move(options));
+  if (!args.registry.empty()) {
+    auto reg_bytes = read_file(args.registry);
+    if (!reg_bytes || !engine->load_registry(std::move(*reg_bytes))) {
+      std::fprintf(stderr, "%s: cannot load --registry=%s\n", cmd,
+                   args.registry.c_str());
+      return nullptr;
+    }
+  }
+  return engine;
+}
+
+// detect's and serve's report: exit status 3 when anything was flagged.
+int print_verdicts(const core::LiveAnalyzer& engine) {
+  const auto& verdicts = engine.verdicts();
+  std::printf("%zu anomalies in %llu synopses:\n", verdicts.size(),
+              static_cast<unsigned long long>(engine.ingested()));
+  for (const auto& a : verdicts)
+    std::printf("  %s\n", core::describe(a, engine.registry()).c_str());
+  return verdicts.empty() ? 0 : 3;
+}
+
 int cmd_detect(const Args& args) {
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
     report_unreadable_trace("detect", args.trace, reader);
     return 1;
   }
-  const auto model_bytes = read_file(args.model);
-  if (!model_bytes) {
-    std::fprintf(stderr, "detect: cannot read --model=%s\n",
-                 args.model.c_str());
-    return 1;
-  }
-  const auto model = core::OutlierModel::load(*model_bytes);
-  if (!model) {
-    std::fprintf(stderr, "detect: %s is not a SAAD model\n",
-                 args.model.c_str());
-    return 1;
-  }
-  core::LogRegistry registry;
-  if (!args.registry.empty()) {
-    const auto reg_bytes = read_file(args.registry);
-    if (!reg_bytes || !registry.load(*reg_bytes)) {
-      std::fprintf(stderr, "detect: cannot load --registry=%s\n",
-                   args.registry.c_str());
-      return 1;
-    }
-  }
-
-  core::DetectorConfig config;
-  config.window = sec(args.window_sec);
-  core::AnalyzerPool analyzer(&*model, config);
+  core::LiveAnalyzer::Options live;
+  live.stats = args.stats ? stdout : nullptr;
+  const auto engine = load_engine("detect", args, std::move(live));
+  if (!engine) return 1;
   // True streaming: synopses flow from disk block-by-block into the
   // analyzer, so detection memory is O(block) + O(open windows), not
   // O(trace).
-  LiveStats live(config.window);
-  std::vector<core::Anomaly> anomalies;
-  std::size_t ingested = 0;
   core::Synopsis s;
-  while (reader.next(s)) {
-    analyzer.ingest(s);
-    ++ingested;
-    if (args.stats) {
-      live.note(s);
-      const UsTime safe = live.safe_now();
-      if (live.window_ready(safe)) {
-        auto closed = analyzer.advance_to(safe);
-        live.absorb(closed);
-        anomalies.insert(anomalies.end(),
-                         std::make_move_iterator(closed.begin()),
-                         std::make_move_iterator(closed.end()));
-        live.report_until(safe);
-      }
-    }
-  }
+  while (reader.next(s)) engine->ingest({&s, 1});
   warn_trace_damage("detect", reader.stats());
-  auto tail = analyzer.finish();
-  if (args.stats) {
-    live.absorb(tail);
-    live.report_rest();
-  }
-  anomalies.insert(anomalies.end(), std::make_move_iterator(tail.begin()),
-                   std::make_move_iterator(tail.end()));
-
-  std::printf("%zu anomalies in %zu synopses:\n", anomalies.size(), ingested);
-  for (const auto& a : anomalies)
-    std::printf("  %s\n", core::describe(a, registry).c_str());
+  engine->finish();
+  const int rc = print_verdicts(*engine);
 
   if (!args.html.empty()) {
+    const auto& anomalies = engine->verdicts();
     core::HtmlReportOptions options;
     options.title = "SAAD report: " + args.trace;
     std::size_t max_window = 0;
@@ -542,7 +453,7 @@ int cmd_detect(const Args& args) {
       max_window = std::max(max_window, a.window + 1);
     options.num_windows = std::max<std::size_t>(max_window, 10);
     const std::string html =
-        core::render_html_report(anomalies, registry, options);
+        core::render_html_report(anomalies, engine->registry(), options);
     std::ofstream file(args.html, std::ios::trunc);
     file << html;
     if (!file) {
@@ -552,7 +463,7 @@ int cmd_detect(const Args& args) {
     }
     std::printf("wrote %s\n", args.html.c_str());
   }
-  return anomalies.empty() ? 0 : 3;  // 3 = anomalies found (like grep's 0/1)
+  return rc;
 }
 
 // SIGINT/SIGTERM ask a long-lived `serve` to finish windows and report.
@@ -574,113 +485,68 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "serve: --listen=<port> required (0 = ephemeral)\n");
     return 2;
   }
-  auto model_bytes = read_file(args.model);
-  if (!model_bytes) {
-    std::fprintf(stderr, "serve: cannot read --model=%s\n", args.model.c_str());
-    return 1;
-  }
-  auto loaded = core::OutlierModel::load(*model_bytes);
-  if (!loaded) {
-    std::fprintf(stderr, "serve: %s is not a SAAD model\n", args.model.c_str());
-    return 1;
-  }
-  // The active model lives on the heap so a SIGHUP hot swap can stage a new
-  // one and retire this one only after the analyzer switched over.
-  auto active_model =
-      std::make_unique<core::OutlierModel>(std::move(*loaded));
-  core::LogRegistry registry;
-  std::vector<std::uint8_t> registry_bytes;
-  if (!args.registry.empty()) {
-    const auto reg_bytes = read_file(args.registry);
-    if (!reg_bytes || !registry.load(*reg_bytes)) {
-      std::fprintf(stderr, "serve: cannot load --registry=%s\n",
-                   args.registry.c_str());
-      return 1;
-    }
-    registry_bytes = *reg_bytes;
-  }
+  core::SynopsisChannel channel;
+  net::SynopsisServer::Options server_options;
+  server_options.port = static_cast<std::uint16_t>(args.listen);
+  net::SynopsisServer server(&channel, server_options);
 
-  core::DetectorConfig config;
-  config.window = sec(args.window_sec);
-
-  // Warm restart: before the listener opens, adopt the newest valid
-  // checkpoint (torn or corrupt candidates are skipped loudly). The
-  // checkpoint's model/registry are authoritative over the --model/--registry
-  // files — they are what the open windows were classified under.
+  // Spans ride along with the admin plane or --trace-out.
+  const bool tracing = args.admin_port >= 0 || !args.trace_out.empty();
+  obs::SpanTracer& tracer = obs::SpanTracer::global();
   const bool checkpointing = !args.checkpoint_dir.empty();
   core::CheckpointDir ckpt_dir(args.checkpoint_dir);
-  std::uint64_t next_sequence = 1;
-  std::optional<core::Checkpoint> resumed;
+  // Only --stats adds to stdout; checkpoints and spans close windows early.
+  core::LiveAnalyzer::Options options;
+  options.stats = args.stats ? stdout : nullptr;
+  options.tracer = tracing ? &tracer : nullptr;
+  options.checkpoints = checkpointing ? &ckpt_dir : nullptr;
+  options.checkpoint_every = static_cast<std::uint64_t>(args.checkpoint_every);
+  options.published = [&server] { return server.stats().published; };
+  const auto engine = load_engine("serve", args, std::move(options));
+  if (!engine) return 1;
+
+  // Warm restart: before the listener opens, adopt the newest valid
+  // checkpoint (torn or corrupt candidates are skipped loudly).
   if (checkpointing) {
     if (!ckpt_dir.ensure()) {
       std::fprintf(stderr, "serve: cannot use --checkpoint-dir=%s\n",
                    args.checkpoint_dir.c_str());
       return 1;
     }
-    next_sequence = ckpt_dir.max_sequence() + 1;
     std::size_t corrupt = 0;
-    resumed = ckpt_dir.load_latest(&corrupt);
+    const auto resumed = ckpt_dir.load_latest(&corrupt);
     if (corrupt > 0) {
       std::fprintf(stderr,
                    "serve: skipped %zu torn or corrupt checkpoint(s) in %s\n",
                    corrupt, args.checkpoint_dir.c_str());
     }
     if (resumed) {
-      if (resumed->window != config.window) {
+      if (resumed->window != sec(args.window_sec)) {
         std::fprintf(stderr,
                      "serve: checkpoint window is %lld us but --window-sec=%lld"
                      " asks for %lld us; refusing to resume into a different "
                      "windowing\n",
                      static_cast<long long>(resumed->window), args.window_sec,
-                     static_cast<long long>(config.window));
+                     static_cast<long long>(sec(args.window_sec)));
         return 2;
       }
-      if (!resumed->model.empty()) {
-        auto m = core::OutlierModel::load(resumed->model);
-        if (!m) {
-          std::fprintf(stderr, "serve: checkpoint model is malformed\n");
-          return 1;
-        }
-        active_model = std::make_unique<core::OutlierModel>(std::move(*m));
-        *model_bytes = resumed->model;
+      if (const char* error = engine->resume(*resumed)) {
+        std::fprintf(stderr, "serve: %s\n", error);
+        return 1;
       }
-      if (!resumed->registry.empty()) {
-        if (!registry.load(resumed->registry)) {
-          std::fprintf(stderr, "serve: checkpoint registry is malformed\n");
-          return 1;
-        }
-        registry_bytes = resumed->registry;
-      }
+      std::fprintf(stderr,
+                   "serve: resumed from checkpoint %llu (%llu synopses, %zu "
+                   "verdicts, model epoch %llu, watermark published=%llu "
+                   "acked=%llu)\n",
+                   static_cast<unsigned long long>(resumed->sequence),
+                   static_cast<unsigned long long>(resumed->ingested),
+                   resumed->anomalies.size(),
+                   static_cast<unsigned long long>(resumed->model_epoch),
+                   static_cast<unsigned long long>(resumed->published),
+                   static_cast<unsigned long long>(resumed->acked));
     }
   }
 
-  core::AnalyzerPool analyzer(active_model.get(), config);
-  std::vector<core::Anomaly> anomalies;
-  std::size_t ingested = 0;
-  if (resumed) {
-    if (!resumed->analyzer.empty() &&
-        !analyzer.restore_state(resumed->analyzer)) {
-      std::fprintf(stderr, "serve: checkpoint analyzer state is malformed\n");
-      return 1;
-    }
-    anomalies = std::move(resumed->anomalies);
-    ingested = static_cast<std::size_t>(resumed->ingested);
-    std::fprintf(stderr,
-                 "serve: resumed from checkpoint %llu (%llu synopses, %zu "
-                 "verdicts, model epoch %llu, watermark published=%llu "
-                 "acked=%llu)\n",
-                 static_cast<unsigned long long>(resumed->sequence),
-                 static_cast<unsigned long long>(resumed->ingested),
-                 anomalies.size(),
-                 static_cast<unsigned long long>(resumed->model_epoch),
-                 static_cast<unsigned long long>(resumed->published),
-                 static_cast<unsigned long long>(resumed->acked));
-  }
-
-  core::SynopsisChannel channel;
-  net::SynopsisServer::Options server_options;
-  server_options.port = static_cast<std::uint16_t>(args.listen);
-  net::SynopsisServer server(&channel, server_options);
   std::signal(SIGINT, on_stop_signal);
   std::signal(SIGTERM, on_stop_signal);
   std::signal(SIGHUP, on_reload_signal);
@@ -700,171 +566,23 @@ int cmd_serve(const Args& args) {
     }
   }
 
-  // Span tracing rides along whenever the admin plane or --trace-out asks
-  // for it. seed=0 pins the sampled set to batches 0, N, 2N, ... so the
-  // first decoded batch is always sampled and short acceptance runs see
-  // completed spans.
-  const bool tracing = args.admin_port >= 0 || !args.trace_out.empty();
-  obs::SpanTracer& tracer = obs::SpanTracer::global();
+  // seed=0 pins the sampled set to batches 0, N, 2N, ... so the first
+  // decoded batch is always sampled and short acceptance runs see completed
+  // spans.
   if (tracing) {
     obs::SpanTracer::Options trace_options;
     trace_options.sample_every = static_cast<std::uint64_t>(args.span_every);
     trace_options.seed = 0;
     tracer.enable(std::move(trace_options));
   }
-
-  // Checkpointing and span tracing need the progressive close cursor even
-  // without --stats; print=false keeps stdout byte-identical to a plain
-  // serve.
-  const bool progressive = args.stats || checkpointing || tracing;
-  LiveStats live(config.window, args.stats);
-  live.resume_from(analyzer.restored_next_window());
-  std::vector<core::Synopsis> batch;
-  std::uint64_t drained_total = 0;  // synopses drained: publish coordinates
-
-  // Live state the admin plane's /statusz and /readyz render. The consumer
-  // loop publishes here; the admin I/O thread only reads, so every field is
-  // an atomic (no locks shared with the hot path).
-  struct AdminState {
-    std::atomic<std::uint64_t> ingested{0};
-    std::atomic<std::int64_t> watermark_us{0};
-    std::atomic<std::int64_t> last_closed_window{-1};
-    std::atomic<std::uint64_t> close_barriers{0};
-    std::atomic<std::uint64_t> checkpoint_sequence{0};
-    std::atomic<std::int64_t> checkpoint_wall_us{0};
-    std::atomic<std::uint64_t> model_epoch{0};
-    std::atomic<std::uint64_t> verdicts{0};
-  } admin_state;
-  admin_state.ingested.store(ingested, std::memory_order_relaxed);
-  admin_state.model_epoch.store(analyzer.model_epoch(),
-                                std::memory_order_relaxed);
-  admin_state.verdicts.store(anomalies.size(), std::memory_order_relaxed);
-  if (resumed)
-    admin_state.checkpoint_sequence.store(resumed->sequence,
-                                          std::memory_order_relaxed);
   const auto started_steady = std::chrono::steady_clock::now();
-
-  // Hot model reload: SIGHUP stages, the analyzer applies at the next window
-  // boundary, and adopt_model() then retires the previous model. staged
-  // must outlive the apply (the analyzer holds a raw pointer until then).
-  std::unique_ptr<core::OutlierModel> staged_model;
-  std::vector<std::uint8_t> staged_model_bytes;
-  std::uint64_t adopted_epoch = analyzer.model_epoch();
-  auto adopt_model = [&] {
-    if (staged_model && analyzer.model_epoch() != adopted_epoch) {
-      adopted_epoch = analyzer.model_epoch();
-      active_model = std::move(staged_model);
-      *model_bytes = std::move(staged_model_bytes);
-    }
-  };
-  auto handle_reload = [&] {
-    auto bytes = read_file(args.model);
-    auto m = bytes ? core::OutlierModel::load(*bytes) : std::nullopt;
-    if (!m) {
-      std::fprintf(stderr,
-                   "serve: reload: cannot load --model=%s; keeping the "
-                   "current model\n",
-                   args.model.c_str());
-      return;
-    }
-    auto fresh = std::make_unique<core::OutlierModel>(std::move(*m));
-    analyzer.swap_model(fresh.get());
-    staged_model = std::move(fresh);  // frees any not-yet-applied staging
-    staged_model_bytes = std::move(*bytes);
-    std::fprintf(stderr,
-                 "serve: reload: staged %s (%zu stages); swaps in at the "
-                 "next window boundary\n",
-                 args.model.c_str(), staged_model->num_stages());
-  };
-
-  std::uint64_t close_barriers = 0;
-  const std::uint64_t checkpoint_every = static_cast<std::uint64_t>(
-      args.checkpoint_every);
-  std::uint64_t checkpointed_sessions = 0;
-  std::uint64_t acked_total = 0;  // this loop is the only server.ack() caller
-
-  auto write_checkpoint = [&](const char* why) {
-    core::Checkpoint c;
-    c.sequence = next_sequence;
-    c.model_epoch = analyzer.model_epoch();
-    c.window = config.window;
-    c.threads = 1;  // format field; the analyzer is serial
-    c.ingested = ingested;
-    c.published = server.stats().published;
-    c.acked = acked_total;
-    c.model = *model_bytes;
-    c.registry = registry_bytes;
-    analyzer.save_state(c.analyzer);
-    c.anomalies = anomalies;
-    if (!ckpt_dir.write(c)) {
-      std::fprintf(stderr, "serve: checkpoint %llu failed to write to %s\n",
-                   static_cast<unsigned long long>(c.sequence),
-                   args.checkpoint_dir.c_str());
-      return;
-    }
-    ++next_sequence;
-    // Published to /statusz only after the validated write landed, so the
-    // admin plane can never report a checkpoint that restart would reject.
-    admin_state.checkpoint_sequence.store(c.sequence,
-                                          std::memory_order_relaxed);
-    admin_state.checkpoint_wall_us.store(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count(),
-        std::memory_order_relaxed);
-    std::fprintf(stderr,
-                 "serve: checkpoint %llu (%s: %zu synopses, %zu verdicts)\n",
-                 static_cast<unsigned long long>(c.sequence), why, ingested,
-                 anomalies.size());
-  };
-
-  auto ingest_batch = [&] {
-    drained_total += batch.size();
-    tracer.on_dequeued(drained_total);
-    for (const auto& s : batch) {
-      analyzer.ingest(s);
-      ++ingested;
-      if (progressive) live.note(s);
-    }
-    tracer.on_assigned(drained_total);
-    server.ack(batch.size());
-    acked_total += batch.size();
-    admin_state.ingested.store(ingested, std::memory_order_relaxed);
-    if (progressive) {
-      const UsTime safe = live.safe_now();
-      if (live.window_ready(safe)) {
-        auto closed = analyzer.advance_to(safe);
-        tracer.on_window_close(drained_total);
-        adopt_model();
-        live.absorb(closed);
-        anomalies.insert(anomalies.end(),
-                         std::make_move_iterator(closed.begin()),
-                         std::make_move_iterator(closed.end()));
-        tracer.on_verdict_emit(drained_total);
-        live.report_until(safe);
-        ++close_barriers;
-        admin_state.watermark_us.store(safe, std::memory_order_relaxed);
-        admin_state.last_closed_window.store(
-            safe / config.window - 1, std::memory_order_relaxed);
-        admin_state.close_barriers.store(close_barriers,
-                                         std::memory_order_relaxed);
-        admin_state.model_epoch.store(analyzer.model_epoch(),
-                                      std::memory_order_relaxed);
-        admin_state.verdicts.store(anomalies.size(),
-                                   std::memory_order_relaxed);
-        if (checkpointing && close_barriers % checkpoint_every == 0)
-          write_checkpoint("window close");
-      }
-    }
-    batch.clear();
-  };
 
   // Admin plane: a separate HTTP listener on its own port and I/O thread,
   // so scrapes and probes can never head-of-line-block synopsis ingestion.
-  // Handlers run on the admin thread and read only atomics (admin_state,
-  // server.stats()), the lock-light metrics registry, and the tracer's own
-  // mutex-guarded export. All admin chatter goes to stderr — stdout stays
-  // byte-identical to `detect`.
+  // Handlers run on the admin thread and read only atomics (the engine's
+  // status, server.stats()), the lock-light metrics registry, and the
+  // tracer's own mutex-guarded export. All admin chatter goes to stderr —
+  // stdout stays byte-identical to `detect`.
   net::AdminServer::Options admin_options;
   admin_options.port = args.admin_port < 0
                            ? 0
@@ -887,8 +605,7 @@ int cmd_serve(const Args& args) {
     admin.route("/readyz", [&](const net::HttpRequest&) {
       net::HttpResponse r;
       const bool helloed = server.stats().frames > 0;
-      const bool advancing =
-          admin_state.watermark_us.load(std::memory_order_relaxed) > 0;
+      const bool advancing = engine->status().watermark_us.load() > 0;
       if (helloed && advancing) {
         r.body = "ready\n";
       } else {
@@ -900,12 +617,12 @@ int cmd_serve(const Args& args) {
     });
     admin.route("/statusz", [&](const net::HttpRequest&) {
       const auto stats = server.stats();
+      const core::LiveStatus& live = engine->status();
+      const std::int64_t ckpt_wall = live.checkpoint_wall_us.load();
       const double uptime_s =
           std::chrono::duration_cast<std::chrono::duration<double>>(
               std::chrono::steady_clock::now() - started_steady)
               .count();
-      const std::int64_t ckpt_wall =
-          admin_state.checkpoint_wall_us.load(std::memory_order_relaxed);
       const double ckpt_age_s =
           ckpt_wall == 0
               ? -1.0
@@ -936,25 +653,18 @@ int cmd_serve(const Args& args) {
           static_cast<unsigned long long>(server.active_connections()),
           static_cast<unsigned long long>(stats.connections),
           static_cast<unsigned long long>(stats.sessions),
-          static_cast<unsigned long long>(
-              admin_state.ingested.load(std::memory_order_relaxed)),
+          static_cast<unsigned long long>(live.ingested.load()),
           static_cast<unsigned long long>(stats.published),
           static_cast<unsigned long long>(stats.published -
                                           server.outstanding()),
-          static_cast<long long>(
-              admin_state.watermark_us.load(std::memory_order_relaxed)),
-          static_cast<long long>(
-              admin_state.last_closed_window.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              admin_state.close_barriers.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              admin_state.verdicts.load(std::memory_order_relaxed)),
+          static_cast<long long>(live.watermark_us.load()),
+          static_cast<long long>(live.watermark_us.load() /
+                                 sec(args.window_sec) - 1),
+          static_cast<unsigned long long>(live.close_barriers.load()),
+          static_cast<unsigned long long>(live.verdicts.load()),
           checkpointing ? "true" : "false",
-          static_cast<unsigned long long>(
-              admin_state.checkpoint_sequence.load(std::memory_order_relaxed)),
-          ckpt_age_s,
-          static_cast<unsigned long long>(
-              admin_state.model_epoch.load(std::memory_order_relaxed)),
+          static_cast<unsigned long long>(live.checkpoint_sequence.load()),
+          ckpt_age_s, static_cast<unsigned long long>(live.model_epoch.load()),
           tracing ? "true" : "false",
           static_cast<unsigned long long>(tracer.sample_every()),
           static_cast<unsigned long long>(tracer.sampled()),
@@ -999,10 +709,25 @@ int cmd_serve(const Args& args) {
     }
   }
 
+  std::vector<core::Synopsis> batch;
+  std::uint64_t checkpointed_sessions = 0;
   while (g_stop_requested == 0) {
     if (g_reload_requested != 0) {
       g_reload_requested = 0;
-      handle_reload();
+      auto bytes = read_file(args.model);
+      const core::OutlierModel* staged =
+          bytes ? engine->stage_model(std::move(*bytes)) : nullptr;
+      if (staged == nullptr) {
+        std::fprintf(stderr,
+                     "serve: reload: cannot load --model=%s; keeping the "
+                     "current model\n",
+                     args.model.c_str());
+      } else {
+        std::fprintf(stderr,
+                     "serve: reload: staged %s (%zu stages); swaps in at the "
+                     "next window boundary\n",
+                     args.model.c_str(), staged->num_stages());
+      }
     }
     batch.clear();
     channel.drain(batch);
@@ -1020,38 +745,26 @@ int cmd_serve(const Args& args) {
           server.sessions_finished() > checkpointed_sessions &&
           server.drained() && server.outstanding() == 0) {
         checkpointed_sessions = server.sessions_finished();
-        write_checkpoint("session end");
+        engine->checkpoint("session end");
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       continue;
     }
-    ingest_batch();
+    engine->ingest(batch);
+    server.ack(batch.size());
   }
   server.stop();          // publishes any still-pending batches
+  batch.clear();
   channel.drain(batch);   // ...which this final drain collects
-  ingest_batch();
-
-  auto tail = analyzer.finish();
-  // finish() closes every window still open, so spans waiting on the close
-  // and emit hops complete here.
-  tracer.on_window_close(drained_total);
-  adopt_model();
-  if (args.stats) {
-    live.absorb(tail);
-    live.report_rest();
-  }
-  anomalies.insert(anomalies.end(), std::make_move_iterator(tail.begin()),
-                   std::make_move_iterator(tail.end()));
-  tracer.on_verdict_emit(drained_total);
-  admin_state.verdicts.store(anomalies.size(), std::memory_order_relaxed);
-  admin_state.model_epoch.store(analyzer.model_epoch(),
-                                std::memory_order_relaxed);
+  engine->ingest(batch);
+  server.ack(batch.size());
+  engine->finish();
 
   // A signal-initiated shutdown writes a final checkpoint: every verdict
   // (including the finish() tail) is captured, so a restart resumes with
   // the complete report instead of losing everything since the last window
   // barrier.
-  if (checkpointing && g_stop_requested != 0) write_checkpoint("shutdown");
+  if (checkpointing && g_stop_requested != 0) engine->checkpoint("shutdown");
 
   if (!args.trace_out.empty()) {
     if (tracer.write_chrome_trace(args.trace_out)) {
@@ -1081,11 +794,7 @@ int cmd_serve(const Args& args) {
                static_cast<unsigned long long>(stats.payload_rejects),
                static_cast<unsigned long long>(stats.truncated),
                static_cast<unsigned long long>(stats.shed_synopses));
-
-  std::printf("%zu anomalies in %zu synopses:\n", anomalies.size(), ingested);
-  for (const auto& a : anomalies)
-    std::printf("  %s\n", core::describe(a, registry).c_str());
-  return anomalies.empty() ? 0 : 3;
+  return print_verdicts(*engine);
 }
 
 // Streams a recorded trace into a running `serve` through the reconnecting
