@@ -1,7 +1,6 @@
 #include "core/channel.h"
 
-#include <thread>
-
+#include "common/thread_index.h"
 #include "core/telemetry.h"
 #include "obs/metrics.h"
 
@@ -61,33 +60,21 @@ struct ChannelMetrics {
 
 void detail::register_channel_metrics() { ChannelMetrics::get(); }
 
-SynopsisChannel::SynopsisChannel(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
-std::size_t SynopsisChannel::shard_for_this_thread() const {
-  // Stable per thread for the channel's lifetime, so a single producer
-  // thread's synopses stay FIFO within one shard.
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  // Fibonacci multiplier spreads consecutive thread-id hashes (often small
-  // integers) across shards.
-  return (h * 0x9E3779B97F4A7C15ull >> 32) % shards_.size();
-}
+SynopsisChannel::SynopsisChannel(std::size_t shards)
+    : shards_(shards == 0 ? 1 : shards) {}
 
 void SynopsisChannel::push(const Synopsis& s) {
   const std::size_t wire = encoded_size(s);  // compute outside the lock
-  const std::size_t shard_index = shard_for_this_thread();
-  Shard& shard = *shards_[shard_index];
+  // Stable per thread, so a single producer thread's synopses stay FIFO
+  // within one shard.
+  const std::size_t shard_index = thread_index() % shards_.size();
+  Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
     shard.items.push_back(s);
+    shard.pushed += 1;
+    shard.encoded_bytes += wire;
   }
-  pushed_.fetch_add(1, std::memory_order_relaxed);
-  encoded_bytes_.fetch_add(wire, std::memory_order_relaxed);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc();
@@ -101,15 +88,15 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
   if (batch.empty()) return;
   std::uint64_t wire = 0;
   for (const auto& s : batch) wire += encoded_size(s);
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
     shard.items.insert(shard.items.end(),
                        std::make_move_iterator(batch.begin()),
                        std::make_move_iterator(batch.end()));
+    shard.pushed += batch.size();
+    shard.encoded_bytes += wire;
   }
-  pushed_.fetch_add(batch.size(), std::memory_order_relaxed);
-  encoded_bytes_.fetch_add(wire, std::memory_order_relaxed);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc(batch.size());
@@ -123,15 +110,15 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
 void SynopsisChannel::drain(std::vector<Synopsis>& out) {
   std::size_t queued = 0;
   for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mu);
-    queued += shard->items.size();
+    std::lock_guard lock(shard.mu);
+    queued += shard.items.size();
   }
   out.reserve(out.size() + queued);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::vector<Synopsis> items;
     {
-      std::lock_guard lock(shards_[i]->mu);
-      items.swap(shards_[i]->items);
+      std::lock_guard lock(shards_[i].mu);
+      items.swap(shards_[i].items);
     }
     if constexpr (obs::kMetricsEnabled) {
       if (!items.empty()) {
@@ -147,11 +134,21 @@ void SynopsisChannel::drain(std::vector<Synopsis>& out) {
 }
 
 std::uint64_t SynopsisChannel::pushed() const {
-  return pushed_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard.mu);
+    total += shard.pushed;
+  }
+  return total;
 }
 
 std::uint64_t SynopsisChannel::encoded_bytes() const {
-  return encoded_bytes_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard.mu);
+    total += shard.encoded_bytes;
+  }
+  return total;
 }
 
 // ---- Producer --------------------------------------------------------------

@@ -3,11 +3,12 @@
 // statistical analyzer", all in memory, never on persistent storage).
 //
 // Sharded MPSC design: the channel is split into kDefaultShards independent
-// shards, each a (mutex, vector) pair. Producers either
+// shards, each a (mutex, vector) pair on its own cache lines. Producers either
 //
-//  * call push() directly — the calling thread is hashed to a stable shard,
-//    so unrelated producer threads contend on different mutexes and a single
-//    producer keeps strict FIFO order within its shard; or
+//  * call push() directly — the calling thread's stable round-robin index
+//    (saad::thread_index(), the one metric cells use) picks its shard, so
+//    the first kDefaultShards producer threads each get a mutex of their own
+//    and a single producer keeps strict FIFO order within its shard; or
 //  * hold a Producer handle — a small fixed-size local buffer assigned its
 //    own shard round-robin, flushed under the shard mutex only once per
 //    kBatch synopses (or on flush()/destruction). This is the high-throughput
@@ -20,14 +21,14 @@
 // concurrent channel already implied).
 //
 // The channel also keeps wire-volume accounting (encoded bytes), which the
-// Fig. 8 storage-overhead bench reads. Counters are updated when a synopsis
-// becomes visible to drain() (i.e. at direct push or at Producer flush), so
-// after every producer has flushed, pushed() == the number drain() returns.
+// Fig. 8 storage-overhead bench reads. Each shard counts under its mutex
+// when a synopsis becomes visible to drain() (i.e. at direct push or at
+// Producer flush), and pushed()/encoded_bytes() sum the shards, so after
+// every producer has flushed, pushed() == the number drain() returns.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -81,20 +82,18 @@ class SynopsisChannel {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::vector<Synopsis> items;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    std::vector<Synopsis> items;     // guarded by mu
+    std::uint64_t pushed = 0;        // guarded by mu
+    std::uint64_t encoded_bytes = 0;  // guarded by mu
   };
-
-  std::size_t shard_for_this_thread() const;
 
   /// Moves `batch` into `shard` under its mutex and bumps the counters.
   void push_batch(std::size_t shard, std::vector<Synopsis>& batch);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
   std::atomic<std::size_t> next_producer_shard_{0};
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> encoded_bytes_{0};
 };
 
 }  // namespace saad::core

@@ -2,58 +2,58 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace saad::core {
 
-TaskContext::TaskContext(HostId host, StageId stage, TaskUid uid, UsTime start)
-    : host_(host), stage_(stage), uid_(uid), start_(start), last_log_(start) {
-  counts_.reserve(8);
+TaskContext::TaskContext(HostId host, StageId stage, TaskUid uid,
+                         UsTime start) {
+  synopsis_.log_points.reserve(8);
+  reset(host, stage, uid, start);
+}
+
+void TaskContext::reset(HostId host, StageId stage, TaskUid uid,
+                        UsTime start) {
+  synopsis_.host = host;
+  synopsis_.stage = stage;
+  synopsis_.uid = uid;
+  synopsis_.start = start;
+  synopsis_.duration = 0;
+  synopsis_.log_points.clear();
 }
 
 void TaskContext::on_log(LogPointId point, UsTime now) {
-  last_log_ = now;
+  synopsis_.duration = now - synopsis_.start;
   // Sorted small-vector upsert; tasks touch few distinct log points, so a
   // linear scan beats a hash map here.
+  auto& counts = synopsis_.log_points;
   auto it = std::lower_bound(
-      counts_.begin(), counts_.end(), point,
+      counts.begin(), counts.end(), point,
       [](const LogPointCount& c, LogPointId p) { return c.point < p; });
-  if (it != counts_.end() && it->point == point) {
+  if (it != counts.end() && it->point == point) {
     it->count++;
   } else {
-    counts_.insert(it, LogPointCount{point, 1});
+    counts.insert(it, LogPointCount{point, 1});
   }
 }
 
-Synopsis TaskContext::finish() const {
-  Synopsis s;
-  s.host = host_;
-  s.stage = stage_;
-  s.uid = uid_;
-  s.start = start_;
-  s.duration = last_log_ - start_;
-  s.log_points = counts_;
-  return s;
-}
-
-namespace {
-
-/// Thread-local slot holding the calling thread's open task. The destructor
-/// flushes a pending context at thread exit: dispatcher-worker termination
-/// inference (the paper uses Java finalizers; we use RAII).
+/// Thread-local slot holding the calling thread's open task, reused from
+/// task to task. The destructor flushes a pending task at thread exit:
+/// dispatcher-worker termination inference (the paper uses Java finalizers;
+/// we use RAII).
 struct TlSlot {
-  TaskExecutionTracker* owner = nullptr;
-  std::unique_ptr<TaskContext> ctx;
+  TaskExecutionTracker* owner = nullptr;  // tracker of the open task, if any
+  TaskContext ctx;
 
   ~TlSlot() { flush(); }
 
+  /// Emits the open task, if any, to the tracker that started it.
   void flush() {
-    if (owner != nullptr && ctx != nullptr) {
-      owner->end_task(std::move(ctx));
-    }
-    ctx.reset();
-    owner = nullptr;
+    if (owner != nullptr) std::exchange(owner, nullptr)->emit(ctx);
   }
 };
+
+namespace {
 
 thread_local TlSlot tl_slot;
 
@@ -66,29 +66,24 @@ TaskExecutionTracker::TaskExecutionTracker(HostId host, const Clock* clock,
 }
 
 TaskExecutionTracker::~TaskExecutionTracker() {
-  // If this thread still holds a context owned by this tracker, drop it so
-  // the thread_local destructor does not touch a dead tracker. Worker threads
+  // If this thread still holds a task owned by this tracker, drop it so the
+  // thread_local destructor does not touch a dead tracker. Worker threads
   // must not outlive the tracker (documented contract).
-  if (tl_slot.owner == this) {
-    tl_slot.ctx.reset();
-    tl_slot.owner = nullptr;
-  }
+  if (tl_slot.owner == this) tl_slot.owner = nullptr;
 }
 
 void TaskExecutionTracker::set_context(StageId stage) {
-  if (tl_slot.owner == this && tl_slot.ctx != nullptr) {
-    // Producer-consumer inference: starting a new task ends the previous one.
-    end_task(std::move(tl_slot.ctx));
-  }
-  tl_slot.owner = this;
-  tl_slot.ctx = begin_task(stage);
+  // Producer-consumer inference: the thread is about to start a new task, so
+  // the one it has open ended, whichever tracker started it.
+  TlSlot& slot = tl_slot;
+  slot.flush();
+  const TaskUid uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
+  slot.ctx.reset(host_, stage, uid, clock_->now());
+  slot.owner = this;
 }
 
 void TaskExecutionTracker::end_context() {
-  if (tl_slot.owner == this && tl_slot.ctx != nullptr) {
-    end_task(std::move(tl_slot.ctx));
-  }
-  if (tl_slot.owner == this) tl_slot.owner = nullptr;
+  if (tl_slot.owner == this) tl_slot.flush();
 }
 
 std::unique_ptr<TaskContext> TaskExecutionTracker::begin_task(StageId stage) {
@@ -104,7 +99,7 @@ void TaskExecutionTracker::end_task(std::unique_ptr<TaskContext> task) {
 
 void TaskExecutionTracker::on_log(LogPointId point) {
   TaskContext* ctx = current_;
-  if (ctx == nullptr && tl_slot.owner == this) ctx = tl_slot.ctx.get();
+  if (ctx == nullptr && tl_slot.owner == this) ctx = &tl_slot.ctx;
   if (ctx == nullptr) {
     unattributed_logs_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -113,12 +108,8 @@ void TaskExecutionTracker::on_log(LogPointId point) {
 }
 
 void TaskExecutionTracker::emit(const TaskContext& ctx) {
-  const Synopsis s = ctx.finish();
-  {
-    std::lock_guard lock(emit_mu_);
-    if (emit_fn_) emit_fn_(s);
-  }
-  tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+  if (emit_fn_) emit_fn_(ctx.synopsis());
+  tasks_completed_.add();
 }
 
 }  // namespace saad::core

@@ -6,11 +6,12 @@
 //
 //  * Thread-local mode (real threads). Server threads call
 //    `set_context(stage)` at the beginning of a stage; an open context on the
-//    same thread is closed first — that is the producer-consumer termination
-//    inference ("the thread is about to start a new task"). For
-//    dispatcher-worker stages, the pending context is flushed automatically
-//    when the thread exits (RAII on the thread_local slot — the C++ analog of
-//    the paper's finalize() trick), or explicitly via `end_context()`.
+//    same thread is closed first, whichever tracker opened it — that is the
+//    producer-consumer termination inference ("the thread is about to start
+//    a new task"). For dispatcher-worker stages, the pending context is
+//    flushed automatically when the thread exits (RAII on the thread_local
+//    slot — the C++ analog of the paper's finalize() trick), or explicitly
+//    via `end_context()`.
 //
 //  * Explicit mode (deterministic simulator). Logical tasks are not bound to
 //    OS threads, so the simulator creates contexts with `begin_task`, binds
@@ -19,51 +20,57 @@
 //
 // The hot path (`on_log`) is a couple of branches and a small-vector upsert;
 // this is what keeps SAAD's overhead at "practically zero" (paper Fig. 7).
+// A thread-local task takes no lock and allocates nothing once its thread
+// has run one task: each thread reuses one TaskContext, whose counts are the
+// emitted Synopsis itself, and counts completions in its own cache-line
+// cell. The one write all threads share is the uid counter's +1 per task.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "common/clock.h"
+#include "common/thread_index.h"
 #include "core/synopsis.h"
 
 namespace saad::core {
 
-/// Per-task in-memory record: stage, uid, start time, last-log time, and the
-/// log-point frequency vector (paper's per-task map, kept as a small sorted
-/// vector because tasks touch few distinct points).
+/// Per-task in-memory record, kept as the synopsis the task will emit: host,
+/// stage, uid, start time, duration so far, and the log-point frequency
+/// vector (paper's per-task map, kept as a small sorted vector because tasks
+/// touch few distinct points).
 class TaskContext {
  public:
+  TaskContext() = default;
   TaskContext(HostId host, StageId stage, TaskUid uid, UsTime start);
+
+  /// Starts a new task in this context; the counts keep their capacity.
+  void reset(HostId host, StageId stage, TaskUid uid, UsTime start);
 
   void on_log(LogPointId point, UsTime now);
 
-  /// Builds the terminal synopsis. Duration is start -> last log point
+  /// The terminal synopsis. Duration is start -> last log point
   /// (paper §3.3.1); a task that logged nothing has duration 0.
-  Synopsis finish() const;
+  const Synopsis& synopsis() const { return synopsis_; }
 
-  StageId stage() const { return stage_; }
-  TaskUid uid() const { return uid_; }
-  UsTime start() const { return start_; }
+  StageId stage() const { return synopsis_.stage; }
+  TaskUid uid() const { return synopsis_.uid; }
+  UsTime start() const { return synopsis_.start; }
 
  private:
-  HostId host_;
-  StageId stage_;
-  TaskUid uid_;
-  UsTime start_;
-  UsTime last_log_;
-  std::vector<LogPointCount> counts_;  // sorted by point id
+  Synopsis synopsis_;  // log_points sorted by point id
 };
 
 class TaskExecutionTracker {
  public:
   using SynopsisFn = std::function<void(const Synopsis&)>;
 
-  /// `emit` is invoked (under the tracker's mutex in thread-local mode) for
-  /// every completed task. `clock` must outlive the tracker.
+  /// `emit` is invoked for every completed task, on the thread that ends it.
+  /// Calls from different threads run concurrently, so `emit` must be
+  /// thread-safe; the Synopsis it gets is valid only during the call.
+  /// `clock` must outlive the tracker.
   TaskExecutionTracker(HostId host, const Clock* clock, SynopsisFn emit);
   ~TaskExecutionTracker();
 
@@ -73,7 +80,8 @@ class TaskExecutionTracker {
   // ---- Thread-local mode ----------------------------------------------
 
   /// Begin a new task for the calling thread (the paper's
-  /// setContext(stageId) stage delimiter). Closes any open context first.
+  /// setContext(stageId) stage delimiter). Closes the thread's open task
+  /// first, and emits it to its own tracker when that is another one.
   void set_context(StageId stage);
 
   /// Explicitly end the calling thread's open task, if any.
@@ -98,9 +106,7 @@ class TaskExecutionTracker {
   // ---- Introspection ------------------------------------------------------
 
   HostId host() const { return host_; }
-  std::uint64_t tasks_completed() const {
-    return tasks_completed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t tasks_completed() const { return tasks_completed_.value(); }
   std::uint64_t unattributed_logs() const {
     return unattributed_logs_.load(std::memory_order_relaxed);
   }
@@ -110,14 +116,15 @@ class TaskExecutionTracker {
 
   void emit(const TaskContext& ctx);
 
+  // Read on every call, written only at construction or by explicit-mode
+  // bind(): kept off the lines that the threads write.
   HostId host_;
   const Clock* clock_;
   SynopsisFn emit_fn_;
-  std::mutex emit_mu_;
   TaskContext* current_ = nullptr;  // explicit-mode binding
-  std::atomic<TaskUid> next_uid_{1};
-  std::atomic<std::uint64_t> tasks_completed_{0};
+  alignas(64) std::atomic<TaskUid> next_uid_{1};
   std::atomic<std::uint64_t> unattributed_logs_{0};
+  StripedCounter tasks_completed_;
 };
 
 /// RAII binding for explicit mode: binds `task` to `tracker` for the scope.

@@ -5,12 +5,13 @@
 //
 // Hot-path cost model: incrementing a Counter or observing into a Histogram
 // is a single relaxed atomic add on a per-thread sharded cell (threads are
-// round-robined over kCells cache-line-sized cells, so concurrent writers
-// almost never touch the same line). Aggregation happens only on scrape,
-// which sums the cells — scrapes may therefore see a value mid-update, which
-// is the normal Prometheus consistency model. Registration (counter(),
-// gauge(), histogram()) takes a mutex and allocates; do it once at setup and
-// keep the returned reference, never per event.
+// round-robined over kThreadCells cache-line-sized cells by
+// common/thread_index.h, so concurrent writers almost never touch the same
+// line). Aggregation happens only on scrape, which sums the cells — scrapes
+// may therefore see a value mid-update, which is the normal Prometheus
+// consistency model. Registration (counter(), gauge(), histogram()) takes a
+// mutex and allocates; do it once at setup and keep the returned reference,
+// never per event.
 //
 // Compile-time escape hatch: configuring with -DSAAD_METRICS=OFF defines
 // SAAD_METRICS_DISABLED, which turns every mutation (inc/add/sub/set/observe)
@@ -35,6 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_index.h"
+
 namespace saad::obs {
 
 #if defined(SAAD_METRICS_DISABLED)
@@ -51,25 +54,6 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// explode series cardinality.
 inline constexpr std::size_t kMaxIndexedLabels = 16;
 
-namespace internal {
-
-inline constexpr std::size_t kCells = 8;
-
-struct alignas(64) Cell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-/// Stable small integer per thread (registration order), used to spread
-/// writers over cells. The first kCells threads get distinct cells.
-inline std::size_t thread_index() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return index;
-}
-
-}  // namespace internal
-
 /// Monotonic counter. inc() is a relaxed add on a per-thread cell; value()
 /// sums the cells.
 class Counter {
@@ -80,26 +64,18 @@ class Counter {
 
   void inc(std::uint64_t n = 1) noexcept {
 #if !defined(SAAD_METRICS_DISABLED)
-    cells_[internal::thread_index() % internal::kCells].value.fetch_add(
-        n, std::memory_order_relaxed);
+    count_.add(n);
 #else
     (void)n;
 #endif
   }
 
-  std::uint64_t value() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& cell : cells_)
-      sum += cell.value.load(std::memory_order_relaxed);
-    return sum;
-  }
+  std::uint64_t value() const noexcept { return count_.value(); }
 
-  void reset() noexcept {
-    for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept { count_.reset(); }
 
  private:
-  std::array<internal::Cell, internal::kCells> cells_{};
+  StripedCounter count_;
 };
 
 /// Up/down instantaneous value (queue depths, worker counts). A single
@@ -161,7 +137,7 @@ class Histogram {
       else
         hi = mid;
     }
-    Shard& shard = *shards_[internal::thread_index() % internal::kCells];
+    Shard& shard = *shards_[thread_index() % kThreadCells];
     shard.counts[lo].fetch_add(1, std::memory_order_relaxed);
     shard.sum.fetch_add(v, std::memory_order_relaxed);
 #else
@@ -206,7 +182,7 @@ class Histogram {
   explicit Histogram(std::vector<std::int64_t> bounds);
 
   std::vector<std::int64_t> bounds_;
-  std::array<std::unique_ptr<Shard>, internal::kCells> shards_;
+  std::array<std::unique_ptr<Shard>, kThreadCells> shards_;
 };
 
 /// Latency bounds (microseconds) shared by the pipeline's duration

@@ -81,7 +81,7 @@ TEST(ChannelStress, PerProducerOrderSurvivesConcurrency) {
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&channel, t] {
-      // Direct push path: thread-hashed shard, strict per-thread FIFO.
+      // Direct push path: per-thread shard, strict per-thread FIFO.
       for (TaskUid i = 0; i < kPerProducer; ++i)
         channel.push(sample(static_cast<HostId>(t), t * kPerProducer + i));
     });

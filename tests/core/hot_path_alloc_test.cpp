@@ -1,16 +1,19 @@
-// Steady-state allocation pins for the analyzer hot path: reading a trace
-// block by block and ingesting into an open window must not touch the heap
-// once the buffers and tallies exist. This binary replaces the global
-// operator new to count calls, so it is its own test executable.
+// Steady-state allocation pins for the hot paths: reading a trace block by
+// block, ingesting into an open window, and a tracked task on a thread that
+// has run one before must not touch the heap once the buffers and tallies
+// exist. This binary replaces the global operator new to count calls, so it
+// is its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "core/detector.h"
 #include "core/trace_io.h"
+#include "core/tracker.h"
 #include "testutil/temp_dir.h"
 
 namespace {
@@ -150,6 +153,26 @@ TEST(HotPathAllocations, DetectorReingestIntoAnOpenWindow) {
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(detector.ingested(), 2 * window.size());
   EXPECT_FALSE(detector.finish().empty());  // the slow tail is anomalous
+}
+
+TEST(HotPathAllocations, ThreadLocalTaskAfterTheFirst) {
+  ManualClock clock;
+  TaskExecutionTracker tracker(0, &clock, [](const Synopsis&) {});
+  const LogPointId points[] = {7, 3, 9, 3};
+  auto run_task = [&] {
+    tracker.set_context(1);
+    for (const LogPointId p : points) {
+      clock.advance(10);
+      tracker.on_log(p);
+    }
+    tracker.end_context();
+  };
+  run_task();  // sizes the thread's reused context
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) run_task();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(tracker.tasks_completed(), 1001u);
+  EXPECT_EQ(tracker.unattributed_logs(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -13,9 +14,12 @@ namespace {
 
 struct TrackerFixture : ::testing::Test {
   ManualClock clock;
+  std::mutex emitted_mu;  // the tracker emits from every thread at once
   std::vector<Synopsis> emitted;
-  TaskExecutionTracker tracker{4, &clock,
-                               [this](const Synopsis& s) { emitted.push_back(s); }};
+  TaskExecutionTracker tracker{4, &clock, [this](const Synopsis& s) {
+                                 std::lock_guard lock(emitted_mu);
+                                 emitted.push_back(s);
+                               }};
 };
 
 TEST_F(TrackerFixture, ExplicitTaskLifecycle) {
@@ -93,6 +97,32 @@ TEST_F(TrackerFixture, SetContextClosesPreviousTask) {
   ASSERT_EQ(emitted.size(), 2u);
   EXPECT_EQ(emitted[0].log_points[0].point, 10);
   EXPECT_EQ(emitted[1].log_points[0].point, 11);
+}
+
+TEST_F(TrackerFixture, SetContextOnAnotherTrackerEmitsTheOpenTask) {
+  // The producer-consumer rule is per thread, not per tracker: starting a
+  // task on another tracker ends this thread's open task here.
+  std::vector<Synopsis> other_emitted;
+  TaskExecutionTracker other{5, &clock, [&](const Synopsis& s) {
+                               other_emitted.push_back(s);
+                             }};
+  tracker.set_context(1);
+  tracker.on_log(5);
+  other.set_context(2);
+  other.on_log(6);
+  other.end_context();
+  tracker.end_context();  // already ended by other.set_context
+
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].host, 4);
+  EXPECT_EQ(emitted[0].stage, 1);
+  EXPECT_EQ(emitted[0].log_points, (std::vector<LogPointCount>{{5, 1}}));
+  EXPECT_EQ(tracker.tasks_completed(), 1u);
+  ASSERT_EQ(other_emitted.size(), 1u);
+  EXPECT_EQ(other_emitted[0].host, 5);
+  EXPECT_EQ(other_emitted[0].log_points, (std::vector<LogPointCount>{{6, 1}}));
+  EXPECT_EQ(other.tasks_completed(), 1u);
+  EXPECT_EQ(tracker.unattributed_logs() + other.unattributed_logs(), 0u);
 }
 
 TEST_F(TrackerFixture, EndContextIsIdempotent) {
