@@ -57,6 +57,12 @@ class AnalyzerPool {
   /// oldest window index still open, for resuming watermark bookkeeping.
   std::size_t restored_next_window() const { return restored_next_window_; }
 
+  /// (window index, synopses it holds) for each open window, ascending.
+  std::vector<std::pair<std::size_t, std::uint64_t>> open_window_synopses()
+      const {
+    return detector_.open_window_synopses();
+  }
+
   /// Stages `model` to replace the current one. The swap applies at the end
   /// of the next advance_to()/finish() — a window boundary — so every
   /// verdict stream position sees exactly one model. `model` must stay alive

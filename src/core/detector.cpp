@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <map>
 #include <tuple>
 #include <utility>
 
@@ -123,24 +124,58 @@ std::uint32_t AnomalyDetector::key_index(HostId host, StageId stage) {
   return index;
 }
 
+AnomalyDetector::Window& AnomalyDetector::open_window(std::size_t index) {
+  auto it = std::lower_bound(
+      open_windows_.begin(), open_windows_.end(), index,
+      [](const OpenWindow& w, std::size_t i) { return w.index < i; });
+  if (it != open_windows_.end() && it->index == index) return it->slots;
+  Window slots;
+  if (!spare_windows_.empty()) {
+    slots = std::move(spare_windows_.back());
+    spare_windows_.pop_back();
+  }
+  return open_windows_.insert(it, OpenWindow{index, std::move(slots)})->slots;
+}
+
 AnomalyDetector::StageWindowStats& AnomalyDetector::slot(std::size_t window,
                                                          std::uint32_t key) {
+  // The cache points into open_windows_, which only this call grows.
   if (last_window_ == nullptr || last_window_index_ != window) {
     last_window_index_ = window;
-    last_window_ = &open_windows_[window];
+    last_window_ = &open_window(window);
   }
   Window& slots = *last_window_;
   if (key >= slots.size()) slots.resize(keys_.size());
   StageWindowStats& stats = slots[key];
-  stats.open = true;
+  if (!stats.open) {
+    // First touch in this window: drop what the slot tallied for an earlier
+    // window, keeping the vectors' capacity.
+    stats.open = true;
+    stats.n = 0;
+    stats.flow_outliers = 0;
+    stats.example_id = kNoSignature;
+    stats.known.clear();
+    if (stats.unseen != nullptr) {
+      stats.unseen->tallies.clear();
+      stats.unseen->new_signatures.clear();
+      stats.unseen->example = Signature();
+    }
+  }
   return stats;
 }
 
 const Signature& AnomalyDetector::example_of(const StageWindowStats& stats,
                                              const StageModel* model) {
-  return stats.example_id != kNoSignature
-             ? model->signatures[stats.example_id].first
-             : stats.example;
+  static const Signature kNone;
+  if (stats.example_id != kNoSignature)
+    return model->signatures[stats.example_id].first;
+  return stats.unseen != nullptr ? stats.unseen->example : kNone;
+}
+
+AnomalyDetector::UnseenStats& AnomalyDetector::unseen_of(
+    StageWindowStats& stats) {
+  if (stats.unseen == nullptr) stats.unseen = std::make_unique<UnseenStats>();
+  return *stats.unseen;
 }
 
 AnomalyDetector::SigWindowStats& AnomalyDetector::tally(
@@ -153,9 +188,10 @@ AnomalyDetector::SigWindowStats& AnomalyDetector::tally(
       it = stats.known.insert(it, KnownTally{id, {}});
     return it->stats;
   }
-  for (auto& [signature, t] : stats.unseen)
+  auto& unseen = unseen_of(stats).tallies;
+  for (auto& [signature, t] : unseen)
     if (signature == value) return t;
-  return stats.unseen.emplace_back(value, SigWindowStats{}).second;
+  return unseen.emplace_back(value, SigWindowStats{}).second;
 }
 
 void AnomalyDetector::ingest(const Synopsis& synopsis) {
@@ -192,13 +228,14 @@ void AnomalyDetector::ingest(const Synopsis& synopsis) {
     stats.flow_outliers++;
     if (example_of(stats, sm).empty()) {
       stats.example_id = id;
-      if (id == kNoSignature) stats.example = signature;
+      if (id == kNoSignature) unseen_of(stats).example = signature;
     }
   }
-  auto& fresh = stats.new_signatures;
-  if (c.new_signature &&
-      std::find(fresh.begin(), fresh.end(), signature) == fresh.end())
-    fresh.push_back(signature);
+  if (c.new_signature) {
+    auto& fresh = unseen_of(stats).new_signatures;
+    if (std::find(fresh.begin(), fresh.end(), signature) == fresh.end())
+      fresh.push_back(signature);
+  }
   SigWindowStats& t = tally(stats, id, signature);
   t.n++;
   t.perf_applicable = c.perf_applicable;
@@ -209,28 +246,40 @@ void AnomalyDetector::ingest(const Synopsis& synopsis) {
 std::vector<Anomaly> AnomalyDetector::advance_to(UsTime now) {
   std::vector<Anomaly> out;
   last_window_ = nullptr;
-  while (!open_windows_.empty()) {
-    auto it = open_windows_.begin();
-    const UsTime window_end =
-        static_cast<UsTime>(it->first + 1) * config_.window;
-    if (window_end > now) break;
-    auto produced = close_window(it->first, it->second);
-    out.insert(out.end(), produced.begin(), produced.end());
-    next_window_to_close_ = it->first + 1;
-    open_windows_.erase(it);
+  auto it = open_windows_.begin();
+  for (; it != open_windows_.end() &&
+         static_cast<UsTime>(it->index + 1) * config_.window <= now;
+       ++it) {
+    close_window(it->index, it->slots, out);
+    next_window_to_close_ = it->index + 1;
+    for (StageWindowStats& stats : it->slots) stats.open = false;
+    spare_windows_.push_back(std::move(it->slots));
   }
+  open_windows_.erase(open_windows_.begin(), it);
   return out;
 }
 
 std::vector<Anomaly> AnomalyDetector::finish() {
   std::vector<Anomaly> out;
   last_window_ = nullptr;
-  for (auto& [index, window] : open_windows_) {
-    auto produced = close_window(index, window);
-    out.insert(out.end(), produced.begin(), produced.end());
+  for (const auto& [index, window] : open_windows_) {
+    close_window(index, window, out);
     next_window_to_close_ = index + 1;
   }
   open_windows_.clear();
+  spare_windows_.clear();
+  return out;
+}
+
+std::vector<std::pair<std::size_t, std::uint64_t>>
+AnomalyDetector::open_window_synopses() const {
+  std::vector<std::pair<std::size_t, std::uint64_t>> out;
+  for (const auto& [index, window] : open_windows_) {
+    std::uint64_t n = 0;
+    for (const StageWindowStats& stats : window)
+      if (stats.open) n += stats.n;
+    out.emplace_back(index, n);
+  }
   return out;
 }
 
@@ -251,14 +300,19 @@ void AnomalyDetector::rebind_model(const OutlierModel* model) {
         const Signature& signature = from->signatures[t.id].first;
         tally(rekeyed, id_in(signature), signature) = t.stats;
       }
-      for (const auto& [signature, t] : stats.unseen)
-        tally(rekeyed, id_in(signature), signature) = t;
+      if (stats.unseen != nullptr)
+        for (const auto& [signature, t] : stats.unseen->tallies)
+          tally(rekeyed, id_in(signature), signature) = t;
       stats.known = std::move(rekeyed.known);
-      stats.unseen = std::move(rekeyed.unseen);
+      if (rekeyed.unseen != nullptr)
+        unseen_of(stats).tallies = std::move(rekeyed.unseen->tallies);
+      else if (stats.unseen != nullptr)
+        stats.unseen->tallies.clear();
       Signature example = example_of(stats, from);
       stats.example_id = id_in(example);
-      stats.example =
-          stats.example_id == kNoSignature ? std::move(example) : Signature();
+      if (stats.example_id != kNoSignature) example = Signature();
+      if (stats.unseen != nullptr || !example.empty())
+        unseen_of(stats).example = std::move(example);
     }
   }
   for (Key& key : keys_) key.model = model->stage_model(key.stage);
@@ -296,13 +350,15 @@ void AnomalyDetector::save_state(std::vector<std::uint8_t>& out) const {
       put_varint(stats.n, out);
       put_varint(stats.flow_outliers, out);
       put_signature(example_of(stats, sm), out);
-      put_varint(stats.new_signatures.size(), out);
-      for (const Signature& sig : stats.new_signatures) put_signature(sig, out);
+      static const UnseenStats kNone;
+      const UnseenStats& rare = stats.unseen ? *stats.unseen : kNone;
+      put_varint(rare.new_signatures.size(), out);
+      for (const Signature& sig : rare.new_signatures) put_signature(sig, out);
       // Known tallies are in Signature order already; merge the never-seen
       // ones in.
-      put_varint(stats.known.size() + stats.unseen.size(), out);
+      put_varint(stats.known.size() + rare.tallies.size(), out);
       unseen.clear();
-      for (const auto& u : stats.unseen) unseen.push_back(&u);
+      for (const auto& u : rare.tallies) unseen.push_back(&u);
       std::sort(unseen.begin(), unseen.end(),
                 [](const auto* a, const auto* b) { return a->first < b->first; });
       const auto put_tally = [&](const Signature& sig, const SigWindowStats& t) {
@@ -397,9 +453,10 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in) {
       dst.n = src.n;
       dst.flow_outliers = src.flow_outliers;
       dst.example_id = id_of(src.example);
-      if (dst.example_id == kNoSignature) dst.example = std::move(src.example);
+      if (dst.example_id == kNoSignature && !src.example.empty())
+        unseen_of(dst).example = std::move(src.example);
       for (auto& sig : src.new_signatures) {
-        auto& fresh = dst.new_signatures;
+        auto& fresh = unseen_of(dst).new_signatures;
         if (std::find(fresh.begin(), fresh.end(), sig) == fresh.end())
           fresh.push_back(std::move(sig));
       }
@@ -410,9 +467,9 @@ bool AnomalyDetector::restore_state(std::span<const std::uint8_t> in) {
   return true;
 }
 
-std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
-                                                   Window& window) {
-  std::vector<Anomaly> out;
+void AnomalyDetector::close_window(std::size_t index, const Window& window,
+                                   std::vector<Anomaly>& out) {
+  const std::size_t first = out.size();
   std::chrono::steady_clock::time_point close_begin;
   if constexpr (obs::kMetricsEnabled)
     close_begin = std::chrono::steady_clock::now();
@@ -433,7 +490,8 @@ std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
       if (!stats.open) continue;
       if (stats.flow_outliers > 0) tests++;
       for (const KnownTally& t : stats.known) tests += counts(t.stats);
-      for (const auto& u : stats.unseen) tests += counts(u.second);
+      if (stats.unseen != nullptr)
+        for (const auto& u : stats.unseen->tallies) tests += counts(u.second);
     }
     if (tests > 1) alpha /= static_cast<double>(tests);
   }
@@ -464,10 +522,11 @@ std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
     flow.train_proportion = train_flow_rate;
 
     bool flow_anomalous = false;
-    if (config_.new_signature_is_anomaly && !stats.new_signatures.empty()) {
+    if (config_.new_signature_is_anomaly && stats.unseen != nullptr &&
+        !stats.unseen->new_signatures.empty()) {
       flow_anomalous = true;
       flow.due_to_new_signature = true;
-      flow.example_signature = stats.new_signatures.front();
+      flow.example_signature = stats.unseen->new_signatures.front();
       flow.p_value = 0.0;  // condition (ii): categorical, not a test
     } else if (stats.flow_outliers > 0) {
       const auto result = stats::proportion_above(
@@ -530,18 +589,17 @@ std::vector<Anomaly> AnomalyDetector::close_window(std::size_t index,
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - close_begin)
             .count());
-    for (const auto& anomaly : out) {
-      (anomaly.kind == AnomalyKind::kFlow ? metrics.flow_anomalies
-                                          : metrics.perf_anomalies)
+    for (std::size_t i = first; i < out.size(); ++i) {
+      (out[i].kind == AnomalyKind::kFlow ? metrics.flow_anomalies
+                                         : metrics.perf_anomalies)
           .inc();
     }
   }
-  if (!out.empty()) {
+  if (out.size() > first) {
     obs::FlightRecorder::global().record(
         obs::EventKind::kWindowClose, "window %zu closed: %zu anomalies over %zu (host, stage) keys",
-        index, out.size(), keys_closed);
+        index, out.size() - first, keys_closed);
   }
-  return out;
 }
 
 }  // namespace saad::core

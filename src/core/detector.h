@@ -14,8 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/model.h"
@@ -73,17 +74,22 @@ class AnomalyDetector {
   /// holds a key's signature, ingesting it again allocates nothing.
   void ingest(const Synopsis& synopsis);
 
-  /// Closes every window that ends at or before `now` and appends its
-  /// anomalies to the internal result. Returns the newly produced anomalies.
+  /// Closes every window that ends at or before `now` and returns its
+  /// anomalies. A closed window's slots wait for the next window to open, so
+  /// once the stream's keys and signatures have been seen, a close that
+  /// raises no verdict allocates nothing.
   std::vector<Anomaly> advance_to(UsTime now);
 
-  /// Closes all remaining windows.
+  /// Closes all remaining windows and frees the waiting slots.
   std::vector<Anomaly> finish();
 
   const DetectorConfig& config() const { return config_; }
   std::uint64_t ingested() const { return ingested_; }
   /// Index of the oldest window a future synopsis can still land in.
   std::size_t next_window_to_close() const { return next_window_to_close_; }
+  /// (window index, synopses it holds) for each open window, ascending.
+  std::vector<std::pair<std::size_t, std::uint64_t>> open_window_synopses()
+      const;
 
   // ---- Warm-restart state (checkpoint.h) -----------------------------------
   // The detector's only mutable state is the open-window tallies plus the
@@ -124,21 +130,32 @@ class AnomalyDetector {
     SignatureId id = kNoSignature;
     SigWindowStats stats;
   };
+  /// What only signatures the model lacks touch: their tallies by value,
+  /// the never-seen ones, and a first flow outlier the model lacks.
+  struct UnseenStats {
+    std::vector<std::pair<Signature, SigWindowStats>> tallies;
+    std::vector<Signature> new_signatures;  // distinct, first-seen order
+    Signature example;
+  };
   /// One (window, host, stage). Only the signatures the key saw in the
   /// window are tallied: the model's by id (sorted, hence in Signature
-  /// order), the others by value in a side list.
+  /// order), the others by value out of line, so that a slot of known
+  /// traffic stays small. A slot outlives its window: the next window to
+  /// open reuses it, clearing it at first touch.
   struct StageWindowStats {
-    bool open = false;  // the window holds this key
+    bool open = false;  // the window holds this key; else the tallies are stale
+    // The first flow outlier: a model id, or else the value in unseen.
+    SignatureId example_id = kNoSignature;
     std::uint64_t n = 0;
     std::uint64_t flow_outliers = 0;
     std::vector<KnownTally> known;
-    std::vector<std::pair<Signature, SigWindowStats>> unseen;
-    std::vector<Signature> new_signatures;  // distinct, first-seen order
-    // The first flow outlier: a model id, or else the value in example.
-    SignatureId example_id = kNoSignature;
-    Signature example;
+    std::unique_ptr<UnseenStats> unseen;  // null until the slot needs it
   };
   using Window = std::vector<StageWindowStats>;  // indexed by key
+  struct OpenWindow {
+    std::size_t index = 0;
+    Window slots;
+  };
   /// A (host, stage) seen so far and its stage model under model_ (nullptr:
   /// a stage the model has never seen). Keys are numbered densely in
   /// first-seen order.
@@ -149,19 +166,26 @@ class AnomalyDetector {
   };
 
   std::uint32_t key_index(HostId host, StageId stage);
+  /// The window's slots, opening it on a spare if needed.
+  Window& open_window(std::size_t index);
   /// The window's tallies for `key`, opening the window if needed.
   StageWindowStats& slot(std::size_t window, std::uint32_t key);
   static const Signature& example_of(const StageWindowStats& stats,
                                      const StageModel* model);
+  /// The slot's out-of-line part, created on first use.
+  static UnseenStats& unseen_of(StageWindowStats& stats);
   /// The tally of a signature in `stats`, created empty on first sight: by
   /// `id` when the stage model knows it, else by `value`.
   static SigWindowStats& tally(StageWindowStats& stats, SignatureId id,
                                const Signature& value);
-  std::vector<Anomaly> close_window(std::size_t index, Window& window);
+  /// Appends the window's anomalies to `out`.
+  void close_window(std::size_t index, const Window& window,
+                    std::vector<Anomaly>& out);
 
   const OutlierModel* model_;
   DetectorConfig config_;
-  std::map<std::size_t, Window> open_windows_;
+  std::vector<OpenWindow> open_windows_;  // ascending index; a handful
+  std::vector<Window> spare_windows_;     // closed, for the next to open
   std::size_t next_window_to_close_ = 0;
   std::uint64_t ingested_ = 0;
 

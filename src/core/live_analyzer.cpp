@@ -11,8 +11,6 @@ LiveAnalyzer::LiveAnalyzer(OutlierModel model,
                            std::vector<std::uint8_t> model_bytes,
                            Options options)
     : options_(std::move(options)),
-      progressive_(options_.stats != nullptr || options_.tracer != nullptr ||
-                   options_.checkpoints != nullptr),
       model_(std::make_unique<OutlierModel>(std::move(model))),
       model_bytes_(std::move(model_bytes)),
       pool_(std::make_unique<AnalyzerPool>(model_.get(), options_.config)) {
@@ -45,8 +43,12 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
   if (!pool_->restore_state(c.analyzer, c.model_epoch))
     return "checkpoint analyzer state is malformed";
   verdicts_ = c.anomalies;
-  // Windows below the restored cursor closed before the checkpoint.
+  // Windows below the restored cursor closed before the checkpoint; the
+  // open ones' tallies count the synopses their [stats] lines report.
   next_window_ = pool_->restored_next_window();
+  if (options_.stats != nullptr)
+    for (const auto& [w, synopses] : pool_->open_window_synopses())
+      window_counts_[w].synopses = synopses;
   status_.ingested.store(c.ingested, std::memory_order_relaxed);
   status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
   status_.model_epoch.store(c.model_epoch, std::memory_order_relaxed);
@@ -59,7 +61,6 @@ void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
   if (options_.tracer != nullptr) options_.tracer->on_dequeued(consumed_);
   for (const Synopsis& s : batch) {
     pool_->ingest(s);
-    if (!progressive_) continue;
     watermark_ = std::max(watermark_, s.start + s.duration);
     if (options_.stats != nullptr) {
       const auto w = static_cast<std::size_t>(std::max<UsTime>(s.start, 0) /
@@ -69,7 +70,7 @@ void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
   }
   if (options_.tracer != nullptr) options_.tracer->on_assigned(consumed_);
   status_.ingested.store(ingested() + batch.size(), std::memory_order_relaxed);
-  if (progressive_) close_ready_windows();
+  close_ready_windows();
 }
 
 void LiveAnalyzer::close_ready_windows() {

@@ -4,10 +4,10 @@
 // replacement, the verdicts, checkpoints, and a status any thread may read;
 // all else runs on the thread that drains the channel (DESIGN.md §6).
 //
-// When something consumes closes as they happen (a `[stats]` sink,
-// checkpoints, span tracing), windows close two windows behind the newest
-// synopsis end time, checked once per ingest() call, so ordinary late
-// arrivals still land in their own window; otherwise at finish().
+// Every ingest() call closes the windows that end two windows behind the
+// newest synopsis end time, whatever consumes the closes, so ordinary late
+// arrivals still land in their own window and about four windows are open
+// at a time; finish() closes the rest.
 #pragma once
 
 #include <atomic>
@@ -90,7 +90,6 @@ class LiveAnalyzer {
   void print_window(std::size_t w);
 
   Options options_;
-  bool progressive_;
   std::unique_ptr<OutlierModel> model_;
   std::vector<std::uint8_t> model_bytes_;
   std::unique_ptr<OutlierModel> staged_model_;

@@ -1,8 +1,8 @@
 // Steady-state allocation pins for the hot paths: reading a trace block by
-// block, ingesting into an open window, and a tracked task on a thread that
-// has run one before must not touch the heap once the buffers and tallies
-// exist. This binary replaces the global operator new to count calls, so it
-// is its own test executable.
+// block, ingesting into an open window, crossing window closes that raise no
+// verdict, and a tracked task on a thread that has run one before must not
+// touch the heap once the buffers and tallies exist. This binary replaces
+// the global operator new to count calls, so it is its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -153,6 +153,52 @@ TEST(HotPathAllocations, DetectorReingestIntoAnOpenWindow) {
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(detector.ingested(), 2 * window.size());
   EXPECT_FALSE(detector.finish().empty());  // the slow tail is anomalous
+}
+
+TEST(HotPathAllocations, DetectorCrossesWindowClosesAfterWarmup) {
+  // 8 hosts x 4 stages, two signatures per stage at even odds, log-normal
+  // durations: every key sees both signatures in every one-second window,
+  // and nothing is anomalous.
+  Rng rng(7);
+  auto task = [&](int i, UsTime start) {
+    Synopsis s;
+    s.host = static_cast<HostId>(i % 8);
+    s.stage = static_cast<StageId>(i / 8 % 4);
+    s.start = start;
+    s.duration = static_cast<UsTime>(rng.lognormal_median(ms(5), 0.3));
+    const auto base = static_cast<LogPointId>(s.stage * 10);
+    const auto variant = static_cast<LogPointId>(base + 1 + i / 32 % 2);
+    s.log_points = {{base, 1}, {variant, 1}};
+    return s;
+  };
+  std::vector<Synopsis> training;
+  for (int i = 0; i < 20000; ++i)
+    training.push_back(task(i, static_cast<UsTime>(i) * 100));
+  const auto model = OutlierModel::train(training);
+
+  constexpr int kWarmup = 5, kMeasured = 20, kPerWindow = 2000;
+  std::vector<std::vector<Synopsis>> windows;
+  for (int w = 0; w < kWarmup + kMeasured; ++w) {
+    windows.emplace_back();
+    for (int i = 0; i < kPerWindow; ++i)
+      windows.back().push_back(task(i, sec(w) + i * (sec(1) / kPerWindow)));
+  }
+  DetectorConfig config;
+  config.window = sec(1);
+  AnomalyDetector detector(&model, config);
+  std::size_t verdicts = 0;
+  // Each window stays open while the next one fills, as behind a watermark.
+  const auto run = [&](int w) {
+    for (const Synopsis& s : windows[w]) detector.ingest(s);
+    verdicts += detector.advance_to(sec(w)).size();
+  };
+  for (int w = 0; w < kWarmup; ++w) run(w);
+  const std::uint64_t before = g_allocations.load();
+  for (int w = kWarmup; w < kWarmup + kMeasured; ++w) run(w);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(verdicts, 0u);
+  EXPECT_EQ(detector.next_window_to_close(),
+            static_cast<std::size_t>(kWarmup + kMeasured - 1));
 }
 
 TEST(HotPathAllocations, ThreadLocalTaskAfterTheFirst) {

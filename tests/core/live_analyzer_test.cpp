@@ -6,14 +6,19 @@
 //    saad_offline_crash_restart_t1 acceptance test);
 //  * a model staged mid-window applies at the next close, and captures carry
 //    the bytes of the model that is applied;
-//  * a resumed engine continues the checkpoint's model epoch;
-//  * a checkpoint that does not fit is refused, saying why.
+//  * a resumed engine continues the checkpoint's model epoch, and its
+//    `[stats]` lines count the synopses the checkpoint's open windows hold;
+//  * a checkpoint that does not fit is refused, saying why;
+//  * an engine with no sink closes windows as the stream passes them, so
+//    its state stays bounded, with the verdicts of a detector that holds
+//    every window until finish().
 #include "core/live_analyzer.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -33,6 +38,15 @@ std::vector<std::uint8_t> encode(const Checkpoint& c) {
   return out;
 }
 
+/// What `file` holds from byte `offset` on.
+std::string read_from(std::FILE* file, long offset) {
+  std::string out;
+  std::fseek(file, offset, SEEK_SET);
+  for (int c; (c = std::fgetc(file)) != EOF;)
+    out.push_back(static_cast<char>(c));
+  return out;
+}
+
 class LiveAnalyzerTest : public ::testing::Test {
  protected:
   LiveAnalyzerTest() : stream(make_trace(12, 12000, 0.05, 0.08)) {
@@ -45,18 +59,22 @@ class LiveAnalyzerTest : public ::testing::Test {
   }
   ~LiveAnalyzerTest() override { std::fclose(stats); }
 
-  /// An engine over `model_bytes` at 1 s windows. Its `[stats]` sink makes
-  /// it close windows as the stream passes them: about every 1400 synopses
-  /// of the 8.4 s stream.
+  /// An engine over `model_bytes` at 1 s windows that writes `[stats]`
+  /// lines to `sink`, if any. It closes windows as the stream passes them:
+  /// about every 1400 synopses of the 8.4 s stream.
   std::unique_ptr<LiveAnalyzer> make_engine(
-      const std::vector<std::uint8_t>& model_bytes) const {
+      const std::vector<std::uint8_t>& model_bytes, std::FILE* sink) const {
     LiveAnalyzer::Options options;
     options.config.window = sec(1);
-    options.stats = stats;
+    options.stats = sink;
     auto model = OutlierModel::load(model_bytes);
     EXPECT_TRUE(model.has_value());
     return std::make_unique<LiveAnalyzer>(std::move(*model), model_bytes,
                                           std::move(options));
+  }
+  std::unique_ptr<LiveAnalyzer> make_engine(
+      const std::vector<std::uint8_t>& model_bytes) const {
+    return make_engine(model_bytes, stats);
   }
 
   /// The kBatch-sized batch starting at synopsis `i`.
@@ -167,6 +185,70 @@ TEST_F(LiveAnalyzerTest, ResumeContinuesTheCheckpointModelEpoch) {
   ingest_through_close(*resumed, cut);
   EXPECT_EQ(resumed->status().model_epoch.load(), 4u);
   EXPECT_EQ(resumed->capture().model_epoch, 4u);
+}
+
+TEST_F(LiveAnalyzerTest, StatsAfterResumeMatchUninterruptedRun) {
+  std::FILE* golden_stats = std::tmpfile();
+  std::FILE* resumed_stats = std::tmpfile();
+  auto golden = make_engine(model_a, golden_stats);
+  std::size_t i = 0;
+  while (i < stream.size() / 2) i = ingest_through_close(*golden, i);
+  const std::size_t cut = i;
+  const Checkpoint mid = golden->capture();
+  const long printed_at_cut = std::ftell(golden_stats);
+  for (; i < stream.size(); i += kBatch) golden->ingest(batch(i));
+  golden->finish();
+
+  // The windows open at the checkpoint print the synopses they held before
+  // it too, as the uninterrupted run's lines do.
+  const auto decoded = decode_checkpoint(encode(mid));
+  ASSERT_TRUE(decoded.has_value());
+  auto resumed = make_engine(model_a, resumed_stats);
+  ASSERT_EQ(resumed->resume(*decoded), nullptr);
+  for (i = cut; i < stream.size(); i += kBatch) resumed->ingest(batch(i));
+  resumed->finish();
+
+  const std::string after_cut = read_from(golden_stats, printed_at_cut);
+  EXPECT_NE(after_cut.find("[stats] window"), std::string::npos);
+  EXPECT_EQ(read_from(resumed_stats, 0), after_cut);
+  std::fclose(golden_stats);
+  std::fclose(resumed_stats);
+}
+
+TEST_F(LiveAnalyzerTest, EngineWithoutASinkClosesAsItGoesInBoundedState) {
+  // 50 one-second windows; the last synopsis starts just before 50 s.
+  const auto long_stream = make_trace(13, 71429, 0.05, 0.08);
+  auto bare = make_engine(model_a, nullptr);
+  auto with_stats = make_engine(model_a);
+  std::size_t state_after_fifth = 0;
+  for (std::size_t i = 0; i < long_stream.size(); i += kBatch) {
+    const auto b = std::span(long_stream)
+                       .subspan(i, std::min(kBatch, long_stream.size() - i));
+    bare->ingest(b);
+    with_stats->ingest(b);
+    if (state_after_fifth == 0 && b.back().start >= sec(5)) {
+      EXPECT_GT(bare->status().close_barriers.load(), 0u);
+      state_after_fifth = bare->capture().analyzer.size();
+    }
+  }
+  EXPECT_GE(bare->status().close_barriers.load(), 45u);
+  EXPECT_EQ(bare->status().close_barriers.load(),
+            with_stats->status().close_barriers.load());
+  const std::size_t state_at_end = bare->capture().analyzer.size();
+  EXPECT_LE(state_at_end, state_after_fifth + state_after_fifth / 4);
+  bare->finish();
+  with_stats->finish();
+
+  auto model = OutlierModel::load(model_a);
+  ASSERT_TRUE(model.has_value());
+  DetectorConfig config;
+  config.window = sec(1);
+  AnomalyDetector all_at_once(&*model, config);
+  for (const Synopsis& s : long_stream) all_at_once.ingest(s);
+  const std::string expected = dump(all_at_once.finish());
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(dump(bare->verdicts()), expected);
+  EXPECT_EQ(dump(with_stats->verdicts()), expected);
 }
 
 TEST_F(LiveAnalyzerTest, CheckpointThatDoesNotFitIsRefused) {

@@ -495,7 +495,8 @@ int cmd_serve(const Args& args) {
   obs::SpanTracer& tracer = obs::SpanTracer::global();
   const bool checkpointing = !args.checkpoint_dir.empty();
   core::CheckpointDir ckpt_dir(args.checkpoint_dir);
-  // Only --stats adds to stdout; checkpoints and spans close windows early.
+  // Only --stats adds to stdout; windows close as the stream passes them
+  // whichever sinks are on.
   core::LiveAnalyzer::Options options;
   options.stats = args.stats ? stdout : nullptr;
   options.tracer = tracing ? &tracer : nullptr;
