@@ -2,7 +2,8 @@
 // end, through the production shape:
 //
 //   P producer threads --batched Producer handles--> sharded SynopsisChannel
-//     --single consumer drain--> analyzer (one serial AnomalyDetector)
+//     --single consumer drain into a flat SynopsisBatch--> analyzer (one
+//     serial AnomalyDetector, ingesting views of the batch's records)
 //     --periodic advance_to + final finish--> anomalies
 //
 // The workload is synthetic and seeded: a trained model over S stages x H
@@ -123,7 +124,7 @@ RunResult run_pipeline(const Workload& w, UsTime window, bool live) {
   }
 
   std::vector<core::Anomaly> anomalies;
-  std::vector<core::Synopsis> batch;
+  core::SynopsisBatch batch;
   UsTime watermark = 0;
   std::uint64_t drained = 0;
   while (drained < w.total) {
@@ -134,7 +135,7 @@ RunResult run_pipeline(const Workload& w, UsTime window, bool live) {
       continue;
     }
     drained += batch.size();
-    for (const auto& s : batch) {
+    for (const core::SynopsisView s : batch) {
       watermark = std::max(watermark, s.start);
       analyzer.ingest(s);
     }
@@ -148,7 +149,7 @@ RunResult run_pipeline(const Workload& w, UsTime window, bool live) {
   for (auto& p : producers) p.join();
   batch.clear();
   channel.drain(batch);
-  for (const auto& s : batch) analyzer.ingest(s);
+  for (const core::SynopsisView s : batch) analyzer.ingest(s);
   auto tail = analyzer.finish();
   anomalies.insert(anomalies.end(), tail.begin(), tail.end());
   const double seconds =

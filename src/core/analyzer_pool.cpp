@@ -41,7 +41,7 @@ void detail::register_analyzer_pool_metrics() { AnalyzerMetrics::get(); }
 AnalyzerPool::AnalyzerPool(const OutlierModel* model, DetectorConfig config)
     : detector_(model, config) {}
 
-void AnalyzerPool::ingest(const Synopsis& synopsis) {
+void AnalyzerPool::ingest(SynopsisView synopsis) {
   if constexpr (obs::kMetricsEnabled) AnalyzerMetrics::get().ingested.inc();
   detector_.ingest(synopsis);
 }

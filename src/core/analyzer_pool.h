@@ -25,7 +25,7 @@ class AnalyzerPool {
   AnalyzerPool(const AnalyzerPool&) = delete;
   AnalyzerPool& operator=(const AnalyzerPool&) = delete;
 
-  void ingest(const Synopsis& synopsis);
+  void ingest(SynopsisView synopsis);
 
   /// Closes every window ending at or before `now` and returns its anomalies
   /// in (window, host, stage, kind) order, then applies a staged model swap.

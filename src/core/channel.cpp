@@ -63,7 +63,7 @@ void detail::register_channel_metrics() { ChannelMetrics::get(); }
 SynopsisChannel::SynopsisChannel(std::size_t shards)
     : shards_(shards == 0 ? 1 : shards) {}
 
-void SynopsisChannel::push(const Synopsis& s) {
+void SynopsisChannel::push(SynopsisView s) {
   const std::size_t wire = encoded_size(s);  // compute outside the lock
   // Stable per thread, so a single producer thread's synopses stay FIFO
   // within one shard.
@@ -71,7 +71,7 @@ void SynopsisChannel::push(const Synopsis& s) {
   Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
-    shard.items.push_back(s);
+    shard.items.append(s);
     shard.pushed += 1;
     shard.encoded_bytes += wire;
   }
@@ -84,16 +84,14 @@ void SynopsisChannel::push(const Synopsis& s) {
 }
 
 void SynopsisChannel::push_batch(std::size_t shard_index,
-                                 std::vector<Synopsis>& batch) {
+                                 const SynopsisBatch& batch) {
   if (batch.empty()) return;
   std::uint64_t wire = 0;
-  for (const auto& s : batch) wire += encoded_size(s);
+  for (const SynopsisView s : batch) wire += encoded_size(s);
   Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
-    shard.items.insert(shard.items.end(),
-                       std::make_move_iterator(batch.begin()),
-                       std::make_move_iterator(batch.end()));
+    shard.items.append(batch);
     shard.pushed += batch.size();
     shard.encoded_bytes += wire;
   }
@@ -104,33 +102,33 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
     metrics.batch_size.observe(static_cast<std::int64_t>(batch.size()));
     metrics.depth(shard_index).add(static_cast<std::int64_t>(batch.size()));
   }
-  batch.clear();
+}
+
+void SynopsisChannel::drain(SynopsisBatch& out) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    SynopsisBatch& taken = out.empty() ? out : taken_;
+    {
+      std::lock_guard lock(shards_[i].mu);
+      if (shards_[i].items.empty()) continue;
+      taken.swap(shards_[i].items);
+    }
+    if constexpr (obs::kMetricsEnabled) {
+      auto& metrics = ChannelMetrics::get();
+      metrics.dequeued.inc(taken.size());
+      metrics.depth(i).sub(static_cast<std::int64_t>(taken.size()));
+    }
+    if (&taken == &taken_) {
+      out.append(taken_);
+      taken_.clear();
+    }
+  }
+  if constexpr (obs::kMetricsEnabled) ChannelMetrics::get().drains.inc();
 }
 
 void SynopsisChannel::drain(std::vector<Synopsis>& out) {
-  std::size_t queued = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    queued += shard.items.size();
-  }
-  out.reserve(out.size() + queued);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    std::vector<Synopsis> items;
-    {
-      std::lock_guard lock(shards_[i].mu);
-      items.swap(shards_[i].items);
-    }
-    if constexpr (obs::kMetricsEnabled) {
-      if (!items.empty()) {
-        auto& metrics = ChannelMetrics::get();
-        metrics.dequeued.inc(items.size());
-        metrics.depth(i).sub(static_cast<std::int64_t>(items.size()));
-      }
-    }
-    out.insert(out.end(), std::make_move_iterator(items.begin()),
-               std::make_move_iterator(items.end()));
-  }
-  if constexpr (obs::kMetricsEnabled) ChannelMetrics::get().drains.inc();
+  drain(values_);
+  values_.copy_to(out);
+  values_.clear();
 }
 
 std::uint64_t SynopsisChannel::pushed() const {
@@ -157,9 +155,7 @@ SynopsisChannel::Producer::Producer(SynopsisChannel& channel)
     : channel_(&channel),
       shard_(channel.next_producer_shard_.fetch_add(
                  1, std::memory_order_relaxed) %
-             channel.shards_.size()) {
-  buffer_.reserve(kBatch);
-}
+             channel.shards_.size()) {}
 
 SynopsisChannel::Producer::~Producer() {
   if (channel_ != nullptr) flush();
@@ -172,13 +168,19 @@ SynopsisChannel::Producer::Producer(Producer&& other) noexcept
   other.channel_ = nullptr;
 }
 
-void SynopsisChannel::Producer::push(const Synopsis& s) {
-  buffer_.push_back(s);
+void SynopsisChannel::Producer::push(SynopsisView s) {
+  buffer_.append(s);
   if (buffer_.size() >= kBatch) flush();
+}
+
+void SynopsisChannel::Producer::push(const SynopsisBatch& batch) {
+  flush();
+  channel_->push_batch(shard_, batch);
 }
 
 void SynopsisChannel::Producer::flush() {
   channel_->push_batch(shard_, buffer_);
+  buffer_.clear();
 }
 
 }  // namespace saad::core

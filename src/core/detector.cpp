@@ -194,7 +194,7 @@ AnomalyDetector::SigWindowStats& AnomalyDetector::tally(
   return unseen.emplace_back(value, SigWindowStats{}).second;
 }
 
-void AnomalyDetector::ingest(const Synopsis& synopsis) {
+void AnomalyDetector::ingest(SynopsisView synopsis) {
   auto window =
       static_cast<std::size_t>(std::max<UsTime>(synopsis.start, 0) / config_.window);
   // Late synopses for windows already closed are attributed to the oldest
@@ -222,7 +222,7 @@ void AnomalyDetector::ingest(const Synopsis& synopsis) {
   const Classification c = OutlierModel::classify(sm, id, synopsis.duration);
   // Only a signature the model lacks is materialized, to tally by value.
   const Signature signature =
-      id == kNoSignature ? Signature::from(synopsis) : Signature();
+      id == kNoSignature ? Signature::from(synopsis.log_points) : Signature();
   stats.n++;
   if (c.flow_outlier) {
     stats.flow_outliers++;

@@ -72,7 +72,7 @@ class AnomalyDetector {
   /// arrive out of order within open windows; one whose window already
   /// closed is counted in the oldest open window instead. Once a window
   /// holds a key's signature, ingesting it again allocates nothing.
-  void ingest(const Synopsis& synopsis);
+  void ingest(SynopsisView synopsis);
 
   /// Closes every window that ends at or before `now` and returns its
   /// anomalies. A closed window's slots wait for the next window to open, so

@@ -7,13 +7,23 @@
 
 namespace saad::core {
 
+namespace {
+
+/// The watermark at which window `w` closes: its end plus two windows.
+UsTime close_watermark(std::size_t w, UsTime window) {
+  return static_cast<UsTime>(w + 3) * window;
+}
+
+}  // namespace
+
 LiveAnalyzer::LiveAnalyzer(OutlierModel model,
                            std::vector<std::uint8_t> model_bytes,
                            Options options)
     : options_(std::move(options)),
       model_(std::make_unique<OutlierModel>(std::move(model))),
       model_bytes_(std::move(model_bytes)),
-      pool_(std::make_unique<AnalyzerPool>(model_.get(), options_.config)) {
+      pool_(std::make_unique<AnalyzerPool>(model_.get(), options_.config)),
+      close_at_(close_watermark(0, options_.config.window)) {
   // Numbering continues above every file ever written there, valid or not.
   if (options_.checkpoints != nullptr)
     next_sequence_ = options_.checkpoints->max_sequence() + 1;
@@ -46,6 +56,7 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
   // Windows below the restored cursor closed before the checkpoint; the
   // open ones' tallies count the synopses their [stats] lines report.
   next_window_ = pool_->restored_next_window();
+  close_at_ = close_watermark(next_window_, options_.config.window);
   if (options_.stats != nullptr)
     for (const auto& [w, synopses] : pool_->open_window_synopses())
       window_counts_[w].synopses = synopses;
@@ -56,10 +67,11 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
   return nullptr;
 }
 
-void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
+void LiveAnalyzer::ingest(const SynopsisBatch& batch) {
   consumed_ += batch.size();
   if (options_.tracer != nullptr) options_.tracer->on_dequeued(consumed_);
-  for (const Synopsis& s : batch) {
+  bool checkpoint_due = false;
+  for (const SynopsisView s : batch) {
     pool_->ingest(s);
     watermark_ = std::max(watermark_, s.start + s.duration);
     if (options_.stats != nullptr) {
@@ -67,25 +79,32 @@ void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
                                               options_.config.window);
       ++window_counts_[std::max(w, next_window_)].synopses;
     }
+    if (watermark_ >= close_at_) checkpoint_due |= close_ready_windows();
   }
   if (options_.tracer != nullptr) options_.tracer->on_assigned(consumed_);
   status_.ingested.store(ingested() + batch.size(), std::memory_order_relaxed);
-  close_ready_windows();
+  if (checkpoint_due) checkpoint("window close");
 }
 
-void LiveAnalyzer::close_ready_windows() {
+void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
+  SynopsisBatch values;
+  for (const Synopsis& s : batch) values.append(s);
+  ingest(values);
+}
+
+bool LiveAnalyzer::close_ready_windows() {
   const UsTime window = options_.config.window;
   const UsTime safe = watermark_ > 2 * window ? watermark_ - 2 * window : 0;
-  if (static_cast<UsTime>(next_window_ + 1) * window > safe) return;
+  if (static_cast<UsTime>(next_window_ + 1) * window > safe) return false;
   absorb(pool_->advance_to(safe));
   for (; static_cast<UsTime>(next_window_ + 1) * window <= safe; ++next_window_)
     if (options_.stats != nullptr) print_window(next_window_);
+  close_at_ = close_watermark(next_window_, window);
   status_.watermark_us.store(safe, std::memory_order_relaxed);
   const std::uint64_t closes =
       status_.close_barriers.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (options_.checkpoints != nullptr &&
-      closes % options_.checkpoint_every == 0)
-    checkpoint("window close");
+  return options_.checkpoints != nullptr &&
+         closes % options_.checkpoint_every == 0;
 }
 
 void LiveAnalyzer::finish() {

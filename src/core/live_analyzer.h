@@ -4,10 +4,15 @@
 // replacement, the verdicts, checkpoints, and a status any thread may read;
 // all else runs on the thread that drains the channel (DESIGN.md §6).
 //
-// Every ingest() call closes the windows that end two windows behind the
-// newest synopsis end time, whatever consumes the closes, so ordinary late
-// arrivals still land in their own window and about four windows are open
-// at a time; finish() closes the rest.
+// The close rule: after every synopsis it ingests, the engine closes the
+// windows that end two windows behind the newest synopsis end time,
+// whatever consumes the closes, so ordinary late arrivals still land in
+// their own window and about four windows are open at a time; finish()
+// closes the rest. The rule is one compare per synopsis, and checking it
+// per synopsis rather than per call makes the verdicts independent of how
+// the stream was cut into batches: `detect` ingests a trace block and
+// `serve` a channel drain at a time, and both close windows exactly where
+// one-at-a-time ingestion would.
 #pragma once
 
 #include <atomic>
@@ -47,7 +52,8 @@ class LiveAnalyzer {
     std::FILE* stats = nullptr;  // one `[stats]` line per closed window
     obs::SpanTracer* tracer = nullptr;  // stamps the consumer's span hops
     /// Serve's checkpoints, reported on stderr: one per checkpoint() call
-    /// and one after every `checkpoint_every`-th close (at least 1).
+    /// and one after each ingest() batch in which a `checkpoint_every`-th
+    /// close (at least 1) fell.
     CheckpointDir* checkpoints = nullptr;
     std::uint64_t checkpoint_every = 1;
     /// The producer watermark checkpoints record (serve: the server's
@@ -67,7 +73,11 @@ class LiveAnalyzer {
   /// Null, or why it does not fit (the engine is then unusable).
   const char* resume(const Checkpoint& checkpoint);
 
-  /// Ingests `batch`, then closes the windows the watermark has passed.
+  /// Ingests `batch` one synopsis at a time, closing the windows the
+  /// watermark has passed after each. Writes at most one checkpoint, after
+  /// the batch, when a close in it made one due.
+  void ingest(const SynopsisBatch& batch);
+  /// The same for values, copied into a batch first.
   void ingest(std::span<const Synopsis> batch);
   void finish();  // closes every window still open
 
@@ -84,7 +94,8 @@ class LiveAnalyzer {
   const LiveStatus& status() const { return status_; }
 
  private:
-  void close_ready_windows();
+  /// Closes what the watermark has passed; true if a checkpoint fell due.
+  bool close_ready_windows();
   /// Takes a close's verdicts and retires the model the close swapped out.
   void absorb(std::vector<Anomaly> closed);
   void print_window(std::size_t w);
@@ -102,6 +113,7 @@ class LiveAnalyzer {
   std::uint64_t next_sequence_ = 1;
   UsTime watermark_ = 0;         // newest synopsis end time
   std::size_t next_window_ = 0;  // oldest window not yet closed
+  UsTime close_at_ = 0;          // the watermark that closes next_window_
   struct WindowCounts { std::size_t synopses = 0, flow = 0, perf = 0; };
   std::map<std::size_t, WindowCounts> window_counts_;  // for [stats]
   LiveStatus status_;

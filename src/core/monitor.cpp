@@ -52,9 +52,7 @@ TaskExecutionTracker& Monitor::tracker(HostId host) {
 }
 
 void Monitor::start_training() {
-  // Discard anything queued before training formally began.
-  std::vector<Synopsis> scratch;
-  channel_.drain(scratch);
+  drop_queued();  // anything queued before training formally began
   training_trace_.clear();
   mode_ = Mode::kTraining;
   obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
@@ -63,9 +61,7 @@ void Monitor::start_training() {
 
 void Monitor::start_recording(TraceWriter* writer) {
   assert(writer != nullptr);
-  // Discard anything queued before recording formally began.
-  std::vector<Synopsis> scratch;
-  channel_.drain(scratch);
+  drop_queued();  // anything queued before recording formally began
   trace_writer_ = writer;
   mode_ = Mode::kRecording;
   obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
@@ -111,9 +107,7 @@ void Monitor::set_model(OutlierModel model) {
 void Monitor::arm(const DetectorConfig& config) {
   if (model_ == nullptr)
     throw std::logic_error("Monitor::arm requires a trained model");
-  // Drop synopses produced between training and arming.
-  std::vector<Synopsis> scratch;
-  channel_.drain(scratch);
+  drop_queued();  // synopses produced between training and arming
   analyzer_ = std::make_unique<AnalyzerPool>(model_.get(), config);
   mode_ = Mode::kDetecting;
   obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
@@ -122,25 +116,31 @@ void Monitor::arm(const DetectorConfig& config) {
 
 std::vector<Anomaly> Monitor::poll(UsTime now) {
   if constexpr (obs::kMetricsEnabled) MonitorMetrics::get().polls.inc();
-  std::vector<Synopsis> batch;
-  channel_.drain(batch);
-  if (mode_ == Mode::kTraining) {
-    training_trace_.insert(training_trace_.end(), batch.begin(), batch.end());
+  if (mode_ == Mode::kTraining) {  // training keeps values
+    channel_.drain(training_trace_);
     return {};
   }
+  batch_.clear();
+  channel_.drain(batch_);
   if (mode_ == Mode::kRecording) {
-    for (const auto& s : batch) trace_writer_->append(s);
+    for (const SynopsisView s : batch_) trace_writer_->append(s);
     return {};
   }
   if (mode_ != Mode::kDetecting) {  // idle: batch is discarded
     if constexpr (obs::kMetricsEnabled) {
-      if (!batch.empty())
-        MonitorMetrics::get().discarded.inc(batch.size());
+      if (!batch_.empty())
+        MonitorMetrics::get().discarded.inc(batch_.size());
     }
     return {};
   }
-  for (const auto& s : batch) analyzer_->ingest(s);
+  for (const SynopsisView s : batch_) analyzer_->ingest(s);
   return analyzer_->advance_to(now);
+}
+
+void Monitor::drop_queued() {
+  batch_.clear();
+  channel_.drain(batch_);
+  batch_.clear();
 }
 
 std::vector<Anomaly> Monitor::finish() {
@@ -208,8 +208,7 @@ bool Monitor::restore_state(std::span<const std::uint8_t> in) {
   auto analyzer = std::make_unique<AnalyzerPool>(restored.get(), config);
   if (!analyzer->restore_state(in)) return false;
 
-  std::vector<Synopsis> scratch;  // arm() discipline: drop the backlog
-  channel_.drain(scratch);
+  drop_queued();  // arm() discipline
   model_ = std::move(restored);
   analyzer_ = std::move(analyzer);
   mode_ = Mode::kDetecting;

@@ -101,9 +101,12 @@ class Monitor {
  private:
   enum class Mode { kIdle, kTraining, kRecording, kDetecting };
 
+  void drop_queued();  // drains the channel and discards what it held
+
   const LogRegistry* registry_;
   const Clock* clock_;
   SynopsisChannel channel_;
+  SynopsisBatch batch_;  // poll()'s drain, reused
   std::vector<std::unique_ptr<TaskExecutionTracker>> trackers_;  // by host
   std::vector<Synopsis> training_trace_;
   std::unique_ptr<OutlierModel> model_;

@@ -166,7 +166,7 @@ bool TraceWriter::write_block() {
   return true;
 }
 
-bool TraceWriter::append(const Synopsis& s) {
+bool TraceWriter::append(SynopsisView s) {
   if (!ok_ || finalized_) return false;
   encode_synopsis(s, payload_);
   ++payload_records_;
@@ -236,39 +236,40 @@ bool TraceReader::read_exact(std::uint8_t* dst, std::size_t n,
   return got == n;
 }
 
+bool TraceReader::next(SynopsisBatch& out) {
+  out.clear();
+  if (!ok_) return false;
+  if (next_record_ >= block_.size() && !refill_block()) return false;
+  if (next_record_ == 0) {
+    out.swap(block_);  // block_ takes out's storage, empty
+  } else {
+    out.append(block_, next_record_);
+    block_.clear();
+  }
+  next_record_ = 0;
+  stats_.synopses += out.size();
+  return true;
+}
+
 bool TraceReader::next(Synopsis& out) {
   if (!ok_) return false;
-  if (next_record_ >= records_.size() && !refill_block()) return false;
-  const std::size_t begin =
-      next_record_ == 0 ? 0 : records_[next_record_ - 1].points_end;
-  const Record& record = records_[next_record_++];
-  out.host = record.fields.host;
-  out.stage = record.fields.stage;
-  out.uid = record.fields.uid;
-  out.start = record.fields.start;
-  out.duration = record.fields.duration;
-  out.log_points.assign(
-      points_.begin() + static_cast<std::ptrdiff_t>(begin),
-      points_.begin() + static_cast<std::ptrdiff_t>(record.points_end));
+  if (next_record_ >= block_.size() && !refill_block()) return false;
+  out.assign(block_[next_record_++]);
   ++stats_.synopses;
   return true;
 }
 
 bool TraceReader::decode_block(std::uint32_t record_count) {
-  records_.clear();
-  points_.clear();
+  block_.clear();
   std::span<const std::uint8_t> rest(payload_);
-  for (std::uint32_t r = 0; r < record_count; ++r) {
-    Record& record = records_.emplace_back();
-    if (!decode_synopsis(rest, record.fields, points_)) return false;
-    record.points_end = points_.size();
-  }
+  for (std::uint32_t r = 0; r < record_count; ++r)
+    if (!decode_synopsis(rest, block_)) return false;
   return rest.empty();
 }
 
 bool TraceReader::refill_block() {
   ReaderDamageScope damage(stats_);
-  records_.clear();
+  block_.clear();
   next_record_ = 0;
 
   // Scans forward from `window` (bytes already consumed, starting at the
@@ -340,14 +341,14 @@ bool TraceReader::refill_block() {
     // A decode failure past a matching CRC is a codec bug or a CRC
     // collision: the block is treated as corrupt rather than trusted.
     if (crc32c(payload_) != crc || !decode_block(record_count)) {
-      records_.clear();
+      block_.clear();
       ++stats_.blocks_corrupt;
       stats_.bytes_discarded += sizeof(header) + payload_len;
       continue;  // framing intact: the next header follows immediately
     }
     if constexpr (obs::kMetricsEnabled)
-      TraceIoMetrics::get().reader_records.inc(records_.size());
-    if (!records_.empty()) return true;
+      TraceIoMetrics::get().reader_records.inc(block_.size());
+    if (!block_.empty()) return true;
   }
 }
 
@@ -380,8 +381,8 @@ std::optional<std::vector<Synopsis>> read_trace_file(const std::string& path,
   if (stats) *stats = reader.stats();
   if (!reader.ok()) return std::nullopt;
   std::vector<Synopsis> trace;
-  Synopsis s;
-  while (reader.next(s)) trace.push_back(std::move(s));
+  SynopsisBatch block;
+  while (reader.next(block)) block.copy_to(trace);
   if (stats) *stats = reader.stats();
   return trace;
 }

@@ -75,7 +75,7 @@ class TraceWriter {
   bool ok() const { return ok_; }
 
   /// Buffers one synopsis; seals and writes a block when full.
-  bool append(const Synopsis& s);
+  bool append(SynopsisView s);
 
   /// Seals the current block (if non-empty) and flushes to the OS: a crash
   /// after flush() loses nothing appended before it.
@@ -106,12 +106,11 @@ class TraceWriter {
   bool finalized_ = false;
 };
 
-/// Streaming trace reader. Iterates synopses one at a time; damage short of
-/// an unrecognizable magic is skipped and tallied in stats() rather than
-/// failing the whole file. Each block is read into one reused buffer, CRC
-/// checked, and decoded all-or-nothing into a reused flat batch (record
-/// fields plus one shared point pool), so memory is bounded by one block and
-/// steady-state reading allocates nothing.
+/// Streaming trace reader. Hands out synopses a block at a time; damage
+/// short of an unrecognizable magic is skipped and tallied in stats() rather
+/// than failing the whole file. Each block is read into one reused buffer,
+/// CRC checked, and decoded all-or-nothing into a SynopsisBatch, so memory
+/// is bounded by one block and steady-state reading allocates nothing.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
@@ -121,9 +120,15 @@ class TraceReader {
   bool ok() const { return ok_; }
   int version() const { return stats_.version; }
 
-  /// Refills `out` in place with the next synopsis, reusing the capacity of
-  /// its point list; false at the end of recoverable data. Damage counters
-  /// in stats() are final once next() has returned false.
+  /// Replaces `out` with the next CRC-verified block, or with the rest of
+  /// the current one when next(Synopsis&) took part of it. The decoded batch
+  /// itself is handed out: `out` and the reader swap storage, so nothing is
+  /// copied. False, with `out` empty, at the end of recoverable data. Damage
+  /// counters in stats() are final once next() has returned false.
+  bool next(SynopsisBatch& out);
+
+  /// Refills `out` in place with the next synopsis of the current block,
+  /// reusing the capacity of its point list; false at the end.
   bool next(Synopsis& out);
 
   const TraceStats& stats() const { return stats_; }
@@ -144,15 +149,8 @@ class TraceReader {
 
   std::vector<std::uint8_t> payload_;  // the current block's payload
   std::vector<std::uint8_t> carry_;    // bytes consumed while resynchronizing
-  // The current CRC-verified block, drained front to back: record i's
-  // points are points_[records_[i-1].points_end, records_[i].points_end).
-  struct Record {
-    Synopsis fields;  // log_points unused
-    std::size_t points_end = 0;
-  };
-  std::vector<Record> records_;
-  std::vector<LogPointCount> points_;
-  std::size_t next_record_ = 0;
+  SynopsisBatch block_;  // the current CRC-verified block
+  std::size_t next_record_ = 0;  // block_'s first record not handed out
 };
 
 /// Writes `trace` via TraceWriter: temp file + atomic rename, so failure at

@@ -138,14 +138,18 @@ struct SynopsisServer::Impl {
   // A decoded batch waiting to be published, with the span token the tracer
   // issued at decode (0 = batch not sampled).
   struct PendingBatch {
-    std::vector<core::Synopsis> synopses;
+    core::SynopsisBatch synopses;
     std::uint64_t span_token = 0;
   };
+  // Published or shed batches kept for the next decode, so a steady stream
+  // of frames reuses their storage; beyond this many they are freed.
+  static constexpr std::size_t kSpareBatches = 4;
 
   int listen_fd = -1;
   int wake_rd = -1, wake_wr = -1;  // self-pipe: stop() wakes poll()
   std::vector<std::unique_ptr<Connection>> connections;
   std::deque<PendingBatch> pending;  // decoded, unpublished
+  std::vector<core::SynopsisBatch> spare;  // cleared, at most kSpareBatches
   std::vector<std::uint8_t> recv_buf;
   std::optional<core::SynopsisChannel::Producer> producer;
 
@@ -300,6 +304,16 @@ void SynopsisServer::io_loop() {
     }
   };
 
+  // Retires the oldest pending batch, keeping its storage for a decode.
+  auto pop_pending = [&] {
+    core::SynopsisBatch& done = im.pending.front().synopses;
+    if (im.spare.size() < Impl::kSpareBatches) {
+      done.clear();
+      im.spare.push_back(std::move(done));
+    }
+    im.pending.pop_front();
+  };
+
   // Publishes pending batches while under the outstanding watermark. The
   // Producer is bound to one channel shard, so publish order is FIFO.
   auto publish_ready = [&] {
@@ -314,9 +328,8 @@ void SynopsisServer::io_loop() {
       obs::SpanTracer::global().on_published(
           im.pending.front().span_token,
           published_.load(std::memory_order_relaxed) + batch_size);
-      for (const auto& s : im.pending.front().synopses) im.producer->push(s);
-      im.producer->flush();
-      im.pending.pop_front();
+      im.producer->push(im.pending.front().synopses);
+      pop_pending();
       published_.fetch_add(batch_size, std::memory_order_relaxed);
       metrics.published.inc(batch_size);
     }
@@ -325,7 +338,7 @@ void SynopsisServer::io_loop() {
   };
 
   // Queues a decoded batch, shedding the oldest when full.
-  auto enqueue_batch = [&](std::vector<core::Synopsis>&& batch,
+  auto enqueue_batch = [&](core::SynopsisBatch&& batch,
                            std::uint64_t span_token) {
     if (batch.empty()) return;
     while (im.pending.size() >= options_.max_pending_batches) {
@@ -333,7 +346,7 @@ void SynopsisServer::io_loop() {
       bump(im.shed_synopses, metrics.shed_synopses,
            im.pending.front().synopses.size());
       obs::SpanTracer::global().on_shed(im.pending.front().span_token);
-      im.pending.pop_front();
+      pop_pending();
     }
     im.pending.push_back({std::move(batch), span_token});
     im.pending_batches.store(im.pending.size(), std::memory_order_release);
@@ -364,7 +377,11 @@ void SynopsisServer::io_loop() {
           break;
         }
         case FrameType::kBatch: {
-          std::vector<core::Synopsis> batch;
+          core::SynopsisBatch batch;
+          if (!im.spare.empty()) {
+            batch.swap(im.spare.back());
+            im.spare.pop_back();
+          }
           if (!decode_batch(frame.payload, batch)) {
             count_reject(WireError::kBadPayload);
             return false;

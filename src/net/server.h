@@ -10,6 +10,11 @@
 // thread only drains the channel and calls ack(). No per-connection threads
 // — the paper's deployment expects many lightweight senders per analyzer.
 //
+// Batches: each batch frame decodes into one core::SynopsisBatch, which is
+// queued and published whole — one append of its flat records and points
+// into the channel shard under one lock, with no per-synopsis copy — and
+// its storage is then reused for a later frame.
+//
 // Ordering: the I/O thread publishes decoded batches FIFO through a single
 // channel Producer (one shard), so a single client's synopses reach the
 // analyzer in exactly the order it sent them — the property the end-to-end

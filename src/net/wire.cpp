@@ -57,19 +57,28 @@ void encode_batch(std::span<const core::Synopsis> batch,
 }
 
 bool decode_batch(std::span<const std::uint8_t> payload,
-                  std::vector<core::Synopsis>& out) {
+                  core::SynopsisBatch& out) {
   std::uint64_t count = 0;
   if (!core::get_varint(payload, count)) return false;
   // Each synopsis encodes to >= 6 bytes; a count beyond what the payload
-  // could possibly hold is damage, caught before reserving anything.
+  // could possibly hold is damage, caught before decoding anything.
   if (count > payload.size()) return false;
-  out.reserve(out.size() + count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    core::Synopsis s;
-    if (!core::decode_synopsis(payload, s)) return false;
-    out.push_back(std::move(s));
+  const std::size_t before = out.size();
+  std::uint64_t i = 0;
+  while (i < count && core::decode_synopsis(payload, out)) ++i;
+  if (i < count || !payload.empty()) {
+    out.truncate(before);
+    return false;
   }
-  return payload.empty();
+  return true;
+}
+
+bool decode_batch(std::span<const std::uint8_t> payload,
+                  std::vector<core::Synopsis>& out) {
+  core::SynopsisBatch batch;
+  if (!decode_batch(payload, batch)) return false;
+  batch.copy_to(out);
+  return true;
 }
 
 void encode_goodbye(std::uint64_t total_synopses,

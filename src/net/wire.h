@@ -87,6 +87,10 @@ bool decode_hello(std::span<const std::uint8_t> payload, Hello& out);
 
 void encode_batch(std::span<const core::Synopsis> batch,
                   std::vector<std::uint8_t>& out);
+/// Appends the payload's synopses to `out`; on false, `out` is as it was.
+bool decode_batch(std::span<const std::uint8_t> payload,
+                  core::SynopsisBatch& out);
+/// The same, as Synopsis values.
 bool decode_batch(std::span<const std::uint8_t> payload,
                   std::vector<core::Synopsis>& out);
 

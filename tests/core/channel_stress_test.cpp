@@ -120,5 +120,69 @@ TEST(ChannelStress, MixedBatchedAndDirectProducers) {
   EXPECT_EQ(channel.pushed(), 2 * kEach);
 }
 
+TEST(ChannelStress, BatchDrainAgainstBatchAndDirectProducers) {
+  // The serve and tracker shapes at once: whole decoded batches through a
+  // Producer, direct pushes from other threads, and a consumer that drains
+  // into one reused SynopsisBatch, swapping storage with the shards.
+  constexpr TaskUid kBatches = 400, kPerBatch = 64, kDirect = 20000;
+  constexpr int kDirectThreads = 3;
+  SynopsisChannel channel;
+  std::atomic<int> running{1 + kDirectThreads};
+  std::vector<Synopsis> drained;
+  std::thread drainer([&] {
+    SynopsisBatch batch;
+    const auto take = [&] {
+      batch.clear();
+      channel.drain(batch);
+      batch.copy_to(drained);
+    };
+    while (running.load(std::memory_order_acquire) > 0) {
+      take();
+      std::this_thread::yield();
+    }
+    take();
+  });
+  std::vector<std::thread> producers;
+  producers.emplace_back([&] {
+    auto handle = channel.producer();
+    SynopsisBatch frame;
+    for (TaskUid b = 0; b < kBatches; ++b) {
+      frame.clear();
+      for (TaskUid i = 0; i < kPerBatch; ++i)
+        frame.append(sample(0, b * kPerBatch + i));
+      handle.push(frame);
+    }
+    running.fetch_sub(1, std::memory_order_release);
+  });
+  for (int t = 0; t < kDirectThreads; ++t) {
+    producers.emplace_back([&, t] {
+      const TaskUid base = kBatches * kPerBatch + t * kDirect;
+      for (TaskUid i = 0; i < kDirect; ++i)
+        channel.push(sample(static_cast<HostId>(1 + t), base + i));
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (auto& p : producers) p.join();
+  drainer.join();
+
+  const std::size_t total = kBatches * kPerBatch + kDirectThreads * kDirect;
+  ASSERT_EQ(drained.size(), total);
+  EXPECT_EQ(channel.pushed(), total);
+  // Every synopsis arrives once, intact, and each producer's in order.
+  std::vector<TaskUid> last(1 + kDirectThreads, 0);
+  std::vector<bool> seen(1 + kDirectThreads, false);
+  std::set<TaskUid> uids;
+  for (const auto& s : drained) {
+    EXPECT_EQ(s, sample(s.host, s.uid));
+    if (seen[s.host]) {
+      EXPECT_LT(last[s.host], s.uid);
+    }
+    seen[s.host] = true;
+    last[s.host] = s.uid;
+    uids.insert(s.uid);
+  }
+  EXPECT_EQ(uids.size(), total);
+}
+
 }  // namespace
 }  // namespace saad::core

@@ -35,6 +35,29 @@ TEST(SynopsisChannel, DrainAppendsAndEmpties) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+TEST(SynopsisChannel, BatchDrainTakesEveryShardInOrder) {
+  SynopsisChannel channel(2);
+  auto first = channel.producer();   // shard 0
+  auto second = channel.producer();  // shard 1
+  SynopsisBatch frame;
+  for (TaskUid uid = 1; uid <= 3; ++uid) frame.append(sample(uid));
+  second.push(sample(10));
+  second.push(frame);  // flushes the buffered synopsis first
+  first.push(frame);
+  SynopsisBatch out;
+  channel.drain(out);
+  std::vector<TaskUid> uids;
+  for (const SynopsisView s : out) {
+    uids.push_back(s.uid);
+    EXPECT_EQ(s.log_points.size(), 2u);
+  }
+  EXPECT_EQ(uids, (std::vector<TaskUid>{1, 2, 3, 10, 1, 2, 3}));
+  EXPECT_EQ(channel.pushed(), 7u);
+  EXPECT_EQ(channel.encoded_bytes(), 7 * encoded_size(sample(1)));
+  channel.drain(out);  // nothing left; out keeps what it had
+  EXPECT_EQ(out.size(), 7u);
+}
+
 TEST(SynopsisChannel, CountsPushedAndBytes) {
   SynopsisChannel channel;
   EXPECT_EQ(channel.pushed(), 0u);

@@ -2,8 +2,11 @@
 // varint, synopsis, trace, and the model image. The contract under test is
 // uniform: random byte mutations and truncations must decode to a clean
 // error (or skip, for framed traces) — never crash, never OOM, never
-// fabricate records. Runs under the asan and ubsan presets in CI
-// (ctest -L corruption).
+// fabricate records. The synopsis decoder is fuzzed in both forms, the
+// value and the flat batch (whose failed decode must leave the batch as it
+// was), and traces are read both ways, as `detect` reads them (a block at
+// a time) and a synopsis at a time. Runs under the asan and ubsan presets
+// in CI (ctest -L corruption).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -190,12 +193,27 @@ TEST(SynopsisCorruption, MutatedRecordsDecodeToErrorOrValidRecord) {
     mutate(buf, rng);
     std::span<const std::uint8_t> in(buf);
     Synopsis s;
-    if (decode_synopsis(in, s)) {
+    const bool ok = decode_synopsis(in, s);
+    if (ok) {
       // A successful decode must re-encode without crashing and within the
       // codec's own bounds (counts and ids were range-checked).
       std::vector<std::uint8_t> rebuf;
       encode_synopsis(s, rebuf);
       EXPECT_LE(s.log_points.size(), 0x10000u);
+    }
+    // The batch form agrees, appending the same record or nothing at all.
+    SynopsisBatch batch;
+    batch.append(originals[(trial + 1) % originals.size()]);
+    const SynopsisBatch before = batch;
+    std::span<const std::uint8_t> flat_in(buf);
+    ASSERT_EQ(decode_synopsis(flat_in, batch), ok) << "trial " << trial;
+    if (ok) {
+      ASSERT_EQ(batch.size(), 2u);
+      Synopsis appended;
+      appended.assign(batch[1]);
+      EXPECT_EQ(appended, s);
+    } else {
+      EXPECT_EQ(batch, before) << "trial " << trial;
     }
   }
 }
@@ -209,6 +227,12 @@ TEST(SynopsisCorruption, TruncationsAlwaysFail) {
       std::span<const std::uint8_t> in(buf.data(), cut);
       Synopsis out;
       EXPECT_FALSE(decode_synopsis(in, out));
+      SynopsisBatch batch;
+      batch.append(s);
+      const SynopsisBatch before = batch;
+      std::span<const std::uint8_t> flat_in(buf.data(), cut);
+      EXPECT_FALSE(decode_synopsis(flat_in, batch));
+      EXPECT_EQ(batch, before) << "cut=" << cut;
     }
   }
 }
@@ -277,6 +301,19 @@ TEST_F(TraceV2Corruption, MutationsNeverCrashOrFabricateRecords) {
       ++recovered;
     }
     EXPECT_LE(recovered, trace_.size());
+    // Block at a time, the same records come through.
+    TraceReader blocks(path_);
+    SynopsisBatch block;
+    std::size_t recovered_in_blocks = 0;
+    while (blocks.next(block)) {
+      for (const SynopsisView view : block) {
+        s.assign(view);
+        ASSERT_TRUE(is_genuine(s)) << "trial " << trial;
+      }
+      recovered_in_blocks += block.size();
+    }
+    EXPECT_EQ(recovered_in_blocks, recovered) << "trial " << trial;
+    EXPECT_EQ(blocks.stats().synopses, recovered) << "trial " << trial;
   }
 }
 
@@ -297,6 +334,14 @@ TEST_F(TraceV2Corruption, EveryTruncationRecoversOnlyGenuineRecords) {
       ASSERT_EQ(s, trace_[i]) << "cut=" << cut;
       ++i;
     }
+    // Block at a time, the same prefix.
+    TraceReader blocks(path_);
+    SynopsisBatch block;
+    std::vector<Synopsis> recovered;
+    while (blocks.next(block)) block.copy_to(recovered);
+    ASSERT_EQ(recovered.size(), i) << "cut=" << cut;
+    for (std::size_t j = 0; j < recovered.size(); ++j)
+      ASSERT_EQ(recovered[j], trace_[j]) << "cut=" << cut;
   }
 }
 

@@ -1,8 +1,11 @@
 // Steady-state allocation pins for the hot paths: reading a trace block by
 // block, ingesting into an open window, crossing window closes that raise no
-// verdict, and a tracked task on a thread that has run one before must not
-// touch the heap once the buffers and tallies exist. This binary replaces
-// the global operator new to count calls, so it is its own test executable.
+// verdict, a tracked task on a thread that has run one before, and the two
+// ways a synopsis reaches the analyzer in flight — a wire frame through the
+// server's decode, publish, drain and ingest, and a tracked task through
+// the channel's direct push and drain — must not touch the heap once the
+// buffers and tallies exist. This binary replaces the global operator new
+// to count calls, so it is its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +14,13 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "core/channel.h"
 #include "core/detector.h"
+#include "core/live_analyzer.h"
 #include "core/trace_io.h"
 #include "core/tracker.h"
+#include "net/wire.h"
+#include "testutil/synthetic_stream.h"
 #include "testutil/temp_dir.h"
 
 namespace {
@@ -219,6 +226,85 @@ TEST(HotPathAllocations, ThreadLocalTaskAfterTheFirst) {
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_EQ(tracker.tasks_completed(), 1001u);
   EXPECT_EQ(tracker.unattributed_logs(), 0u);
+}
+
+TEST(HotPathAllocations, ServePathAfterWarmup) {
+  // serve's path for one frame, minus the socket: decode the payload into a
+  // batch, publish it whole, drain, ingest. One 60 s window holds the whole
+  // 8.4 s stream, so nothing closes. The model is trained at the stream's
+  // rates, so it knows every signature: the detector materializes the
+  // signatures a model lacks, which is not this path's cost.
+  std::vector<std::uint8_t> model_bytes;
+  OutlierModel::train(testutil::make_trace(11, 20000, 0.05, 0.08))
+      .save(model_bytes);
+  auto model = OutlierModel::load(model_bytes);
+  ASSERT_TRUE(model.has_value());
+  LiveAnalyzer::Options options;
+  options.config.window = sec(60);
+  LiveAnalyzer engine(std::move(*model), model_bytes, std::move(options));
+
+  const auto stream = testutil::make_trace(12, 12000, 0.05, 0.08);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t i = 0; i < stream.size(); i += 256) {
+    net::encode_batch(std::span(stream).subspan(
+                          i, std::min<std::size_t>(256, stream.size() - i)),
+                      payloads.emplace_back());
+  }
+  SynopsisChannel channel;
+  auto producer = channel.producer();
+  SynopsisBatch decoded, drained;
+  const auto pass = [&] {
+    for (const auto& payload : payloads) {
+      decoded.clear();
+      ASSERT_TRUE(net::decode_batch(payload, decoded));
+      producer.push(decoded);
+      drained.clear();
+      channel.drain(drained);
+      engine.ingest(drained);
+    }
+  };
+  // Warm-up sizes the batches and tallies every key and signature. The
+  // shard and the consumer swap storage at each drain, and the frames are
+  // odd in number, so each of the two storages has held every frame only
+  // after two passes.
+  pass();
+  pass();
+  const std::uint64_t before = g_allocations.load();
+  pass();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(engine.ingested(), 3 * stream.size());
+  EXPECT_EQ(engine.status().close_barriers.load(), 0u);
+}
+
+TEST(HotPathAllocations, TrackedTaskThroughTheChannel) {
+  ManualClock clock;
+  SynopsisChannel channel;
+  TaskExecutionTracker tracker(
+      0, &clock, [&channel](const Synopsis& s) { channel.push(s); });
+  const LogPointId points[] = {7, 3, 9, 3};
+  SynopsisBatch drained;
+  // A drain every 100 tasks. The shard and the consumer swap storage, so
+  // two rounds size both batches.
+  const auto round = [&] {
+    for (int i = 0; i < 100; ++i) {
+      tracker.set_context(1);
+      for (const LogPointId p : points) {
+        clock.advance(10);
+        tracker.on_log(p);
+      }
+      tracker.end_context();
+    }
+    drained.clear();
+    channel.drain(drained);
+    ASSERT_EQ(drained.size(), 100u);
+  };
+  round();
+  round();
+  const std::uint64_t before = g_allocations.load();
+  for (int r = 0; r < 10; ++r) round();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(channel.pushed(), 1200u);
+  EXPECT_EQ(drained[99].log_points.size(), 3u);  // points 3, 7, 9
 }
 
 }  // namespace

@@ -11,11 +11,15 @@
 //  * a checkpoint that does not fit is refused, saying why;
 //  * an engine with no sink closes windows as the stream passes them, so
 //    its state stays bounded, with the verdicts of a detector that holds
-//    every window until finish().
+//    every window until finish();
+//  * the close rule runs after every synopsis, so a synopsis that arrives
+//    more than two windows late lands in the same window whether the stream
+//    comes one synopsis, 64 or all at once per ingest() call.
 #include "core/live_analyzer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -249,6 +253,54 @@ TEST_F(LiveAnalyzerTest, EngineWithoutASinkClosesAsItGoesInBoundedState) {
   EXPECT_FALSE(expected.empty());
   EXPECT_EQ(dump(bare->verdicts()), expected);
   EXPECT_EQ(dump(with_stats->verdicts()), expected);
+}
+
+TEST_F(LiveAnalyzerTest, VerdictsDoNotDependOnBatchBoundaries) {
+  // Three records after the watermark first reaches 5 s, the point where
+  // window 2 closes, a task that started in window 2 ends with a log point
+  // no model has seen.
+  std::vector<Synopsis> late_stream = stream;
+  UsTime watermark = 0;
+  std::size_t at = 0;
+  while (watermark < sec(5)) {
+    watermark = std::max(watermark, late_stream[at].start +
+                                        late_stream[at].duration);
+    ++at;
+  }
+  Synopsis late;
+  late.host = 0;
+  late.stage = 3;
+  late.start = ms(2500);
+  late.duration = ms(5010) - late.start;
+  late.log_points = {{24, 1}, {999, 1}};
+  late_stream.insert(late_stream.begin() + static_cast<std::ptrdiff_t>(at + 2),
+                     late);
+
+  const auto verdicts_in_batches_of = [&](std::size_t n) {
+    auto engine = make_engine(model_a, nullptr);
+    SynopsisBatch batch;
+    for (std::size_t i = 0; i < late_stream.size(); i += n) {
+      batch.clear();
+      for (std::size_t j = i; j < std::min(i + n, late_stream.size()); ++j)
+        batch.append(late_stream[j]);
+      engine->ingest(batch);
+    }
+    engine->finish();
+    return engine->verdicts();
+  };
+  const auto one_at_a_time = verdicts_in_batches_of(1);
+  // Window 2 had closed when the late task arrived, so it counts in the
+  // oldest open window, 3, as it does when `detect` reads it.
+  const auto flagged = std::find_if(
+      one_at_a_time.begin(), one_at_a_time.end(), [](const Anomaly& a) {
+        return a.due_to_new_signature && a.host == 0 && a.stage == 3 &&
+               a.example_signature.contains(999);
+      });
+  ASSERT_NE(flagged, one_at_a_time.end());
+  EXPECT_EQ(flagged->window, 3u);
+  EXPECT_EQ(dump(verdicts_in_batches_of(kBatch)), dump(one_at_a_time));
+  EXPECT_EQ(dump(verdicts_in_batches_of(late_stream.size())),
+            dump(one_at_a_time));
 }
 
 TEST_F(LiveAnalyzerTest, CheckpointThatDoesNotFitIsRefused) {

@@ -128,5 +128,64 @@ TEST(Synopsis, RandomRoundTripProperty) {
   }
 }
 
+TEST(SynopsisBatch, RecordsKeepTheirPointsThroughAppendAndTruncate) {
+  Synopsis empty = sample_synopsis();
+  empty.log_points.clear();
+  Synopsis other = sample_synopsis();
+  other.uid = 7;
+  other.log_points = {{4, 2}};
+  const std::vector<Synopsis> values = {sample_synopsis(), empty, other};
+  SynopsisBatch batch;
+  for (const auto& s : values) batch.append(s);
+  ASSERT_EQ(batch.size(), 3u);
+  std::vector<Synopsis> out;
+  batch.copy_to(out);
+  EXPECT_EQ(out, values);
+  std::size_t i = 0;
+  for (const SynopsisView view : batch) {  // iteration and indexing agree
+    Synopsis s;
+    s.assign(view);
+    EXPECT_EQ(s, values[i]);
+    s.assign(batch[i]);
+    EXPECT_EQ(s, values[i]);
+    ++i;
+  }
+  EXPECT_EQ(i, 3u);
+
+  // Appending a batch's tail re-bases its records onto the pool's end.
+  SynopsisBatch tail;
+  tail.append(other);
+  tail.append(batch, 1);
+  out.clear();
+  tail.copy_to(out);
+  EXPECT_EQ(out, (std::vector<Synopsis>{other, empty, other}));
+
+  batch.truncate(1);  // drops the records and their points
+  batch.append(other);
+  out.clear();
+  batch.copy_to(out);
+  EXPECT_EQ(out, (std::vector<Synopsis>{values[0], other}));
+  batch.clear();
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch, SynopsisBatch());
+}
+
+TEST(SynopsisBatch, DecodeAppendsOrLeavesTheBatchAsItWas) {
+  std::vector<std::uint8_t> buf;
+  encode_synopsis(sample_synopsis(), buf);
+  SynopsisBatch batch;
+  batch.append(sample_synopsis());
+  const SynopsisBatch before = batch;
+  std::span<const std::uint8_t> cut(buf.data(), buf.size() - 1);
+  EXPECT_FALSE(decode_synopsis(cut, batch));
+  EXPECT_EQ(batch, before);
+  std::span<const std::uint8_t> in(buf);
+  ASSERT_TRUE(decode_synopsis(in, batch));
+  EXPECT_TRUE(in.empty());
+  std::vector<Synopsis> out;
+  batch.copy_to(out);
+  EXPECT_EQ(out, (std::vector<Synopsis>{sample_synopsis(), sample_synopsis()}));
+}
+
 }  // namespace
 }  // namespace saad::core

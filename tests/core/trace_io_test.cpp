@@ -95,6 +95,38 @@ TEST(TraceIo, EncodeDecodeRoundTrip) {
   fs::remove(path);
 }
 
+TEST(TraceIo, BlocksAreHandedOutWholeAndMixWithSingleReads) {
+  // next(SynopsisBatch&) hands out a block per call; after next(Synopsis&)
+  // took part of a block, it hands out the rest of that block.
+  const auto path = temp_path("saad_blocks_roundtrip.trc");
+  const auto trace = sample_trace(500);
+  TraceWriter::Options options;
+  options.block_bytes = 512;
+  {
+    TraceWriter writer(path, options);
+    for (const auto& s : trace) ASSERT_TRUE(writer.append(s));
+    ASSERT_TRUE(writer.finalize());
+  }
+  TraceReader reader(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<Synopsis> read;
+  Synopsis s;
+  ASSERT_TRUE(reader.next(s));
+  read.push_back(s);
+  SynopsisBatch block;
+  std::size_t calls = 0;
+  while (reader.next(block)) {
+    ++calls;
+    block.copy_to(read);
+  }
+  EXPECT_TRUE(block.empty());
+  EXPECT_EQ(read, trace);
+  EXPECT_EQ(calls, reader.stats().blocks_total);
+  EXPECT_GT(calls, 10u);
+  EXPECT_EQ(reader.stats().synopses, trace.size());
+  fs::remove(path);
+}
+
 TEST(TraceIo, EmptyTraceRoundTrips) {
   const auto path = temp_path("saad_empty.trc");
   ASSERT_TRUE(write_trace_file(path, {}));

@@ -4,6 +4,10 @@
 //    boundary, oversized length prefixes, and garbage payloads must decode
 //    to a clean latched error — never crash, never OOM, never fabricate
 //    frames that were not sent.
+//  * decode_batch into the flat SynopsisBatch serve runs: a payload that
+//    fails (lying record count, truncated last record, trailing bytes,
+//    garbage) leaves the batch exactly as it was, with no orphaned points
+//    for the next record to count, and agrees with the value form.
 //  * A live SynopsisServer fed raw socket bytes: every damage class drops
 //    exactly the abused connection and bumps exactly the matching reject
 //    counter, and the server keeps serving well-formed sessions afterwards.
@@ -106,7 +110,10 @@ TEST(WireDecoder, EveryBitFlipIsCleanlyRejectedOrHarmless) {
         // Whatever survived framing must also parse without crashing.
         if (frame.type == FrameType::kBatch) {
           std::vector<Synopsis> out;
-          decode_batch(frame.payload, out);
+          const bool ok = decode_batch(frame.payload, out);
+          core::SynopsisBatch flat;
+          EXPECT_EQ(decode_batch(frame.payload, flat), ok);
+          EXPECT_EQ(flat.size(), out.size());
         } else if (frame.type == FrameType::kHello) {
           Hello hello;
           decode_hello(frame.payload, hello);
@@ -209,6 +216,12 @@ TEST(WirePayloads, ParsersRejectGarbageWithoutCrashing) {
     decode_hello(junk, hello);
     std::vector<Synopsis> batch;
     decode_batch(junk, batch);
+    core::SynopsisBatch flat;
+    flat.append(sample_synopsis(rng));
+    const core::SynopsisBatch before = flat;
+    if (!decode_batch(junk, flat)) {
+      EXPECT_EQ(flat, before);
+    }
     std::uint64_t total = 0;
     decode_goodbye(junk, total);
   }
@@ -219,6 +232,55 @@ TEST(WirePayloads, ParsersRejectGarbageWithoutCrashing) {
   std::vector<Synopsis> batch;
   EXPECT_FALSE(decode_batch(lying_count, batch));
   EXPECT_TRUE(batch.empty());
+  core::SynopsisBatch flat;
+  EXPECT_FALSE(decode_batch(lying_count, flat));
+  EXPECT_TRUE(flat.empty());
+}
+
+TEST(WirePayloads, FailedBatchDecodeLeavesTheBatchAsItWas) {
+  Rng rng(31);
+  std::vector<Synopsis> sent;
+  for (int i = 0; i < 8; ++i) sent.push_back(sample_synopsis(rng));
+  std::vector<std::uint8_t> body;  // the records, without the count
+  for (const auto& s : sent) core::encode_synopsis(s, body);
+  const auto payload_of = [&](std::uint64_t count, std::size_t body_bytes) {
+    std::vector<std::uint8_t> payload;
+    core::put_varint(count, payload);
+    payload.insert(payload.end(), body.begin(),
+                   body.begin() + static_cast<std::ptrdiff_t>(body_bytes));
+    return payload;
+  };
+  std::vector<std::uint8_t> last;
+  core::encode_synopsis(sent.back(), last);
+  const std::size_t full = body.size();
+  const std::vector<std::vector<std::uint8_t>> damaged = {
+      payload_of(sent.size() + 1, full),  // count claims one record more
+      payload_of(sent.size() - 1, full),  // one less: a record left over
+      payload_of(sent.size(), full - 1),  // last record cut short
+      payload_of(sent.size(), full - last.size() + 1),  // ... to its 1st byte
+  };
+  const Synopsis next = sample_synopsis(rng);
+  for (std::size_t d = 0; d < damaged.size(); ++d) {
+    core::SynopsisBatch flat;
+    flat.append(sample_synopsis(rng));
+    const core::SynopsisBatch before = flat;
+    EXPECT_FALSE(decode_batch(damaged[d], flat)) << "case " << d;
+    EXPECT_EQ(flat, before) << "case " << d;
+    // Nothing was left in the point pool for the next record to count.
+    flat.append(next);
+    ASSERT_EQ(flat.size(), 2u);
+    std::vector<Synopsis> values;
+    flat.copy_to(values);
+    EXPECT_EQ(values[1], next) << "case " << d;
+    std::vector<Synopsis> out;
+    EXPECT_FALSE(decode_batch(damaged[d], out)) << "case " << d;
+    EXPECT_TRUE(out.empty()) << "case " << d;
+  }
+  core::SynopsisBatch flat;
+  ASSERT_TRUE(decode_batch(payload_of(sent.size(), full), flat));
+  std::vector<Synopsis> values;
+  flat.copy_to(values);
+  EXPECT_EQ(values, sent);
 }
 
 // ---- server level ----------------------------------------------------------

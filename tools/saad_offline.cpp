@@ -438,8 +438,8 @@ int cmd_detect(const Args& args) {
   // True streaming: synopses flow from disk block-by-block into the
   // analyzer, so detection memory is O(block) + O(open windows), not
   // O(trace).
-  core::Synopsis s;
-  while (reader.next(s)) engine->ingest({&s, 1});
+  core::SynopsisBatch block;
+  while (reader.next(block)) engine->ingest(block);
   warn_trace_damage("detect", reader.stats());
   engine->finish();
   const int rc = print_verdicts(*engine);
@@ -710,7 +710,7 @@ int cmd_serve(const Args& args) {
     }
   }
 
-  std::vector<core::Synopsis> batch;
+  core::SynopsisBatch batch;
   std::uint64_t checkpointed_sessions = 0;
   while (g_stop_requested == 0) {
     if (g_reload_requested != 0) {
