@@ -20,7 +20,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/analyzer_pool.h"
+#include "core/detector.h"
 #include "harness.h"
 #include "obs/metrics.h"
 
@@ -111,7 +111,7 @@ RunResult run_pipeline(const Workload& w, UsTime window, bool live) {
   core::SynopsisChannel channel;
   core::DetectorConfig config;
   config.window = window;
-  core::AnalyzerPool analyzer(&w.model, config);
+  core::AnomalyDetector analyzer(&w.model, config);
 
   const auto begin = std::chrono::steady_clock::now();
   std::vector<std::thread> producers;

@@ -73,7 +73,7 @@ enum class CheckpointSection : std::uint8_t {
 
 struct Checkpoint {
   std::uint64_t sequence = 0;     // monotone per directory; in the filename
-  std::uint64_t model_epoch = 0;  // AnalyzerPool::model_epoch at capture
+  std::uint64_t model_epoch = 0;  // applied model swaps at capture
   UsTime window = 0;              // detector window; resume must match
   std::uint64_t threads = 0;      // format field: serve writes 1; unread
   std::uint64_t ingested = 0;     // synopses ingested (for the final report)

@@ -40,7 +40,8 @@ struct DetectorConfig {
   /// the correction trades a little sensitivity for a familywise error
   /// bound. See the `ablation_tests` bench.
   bool bonferroni = false;
-  /// Unused: the analyzer is serial. Kept only for code that still sets it.
+  /// Unused: the analyzer is serial. Kept for perfbench/tool/layers.cpp,
+  /// which still sets it.
   std::size_t analyzer_threads = 1;
 };
 
@@ -109,14 +110,13 @@ class AnomalyDetector {
   /// detector over it.
   bool restore_state(std::span<const std::uint8_t> in);
 
-  /// Points classification at a new model. Only legal at a window boundary
-  /// (no ingest since the last advance_to/finish on the windows the swap
-  /// should not affect is *not* required — open windows were classified at
-  /// ingest time under the old model and close with those tallies; only
-  /// synopses ingested after the rebind see the new model). Signature ids
+  /// Points classification at a new model. Synopses ingested before the
+  /// call were classified under the old model and keep those tallies, open
+  /// windows included; only later ones see the new model. Signature ids
   /// belong to a model, so open windows' tallies are re-keyed by signature
-  /// value; the old model must still be alive during the call. AnalyzerPool
-  /// applies staged swaps here, right after a window close.
+  /// value, and the old model must still be alive during the call.
+  /// LiveAnalyzer applies a staged model here, right after the
+  /// advance_to()/finish() that closes a window.
   void rebind_model(const OutlierModel* model);
 
  private:

@@ -3,11 +3,38 @@
 #include <algorithm>
 #include <chrono>
 
+#include "core/telemetry.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace saad::core {
 
 namespace {
+
+struct AnalyzerMetrics {
+  obs::Counter& ingested;
+  obs::Counter& model_swaps;
+  obs::Gauge& model_epoch;
+
+  AnalyzerMetrics()
+      : ingested(obs::MetricsRegistry::global().counter(
+            "saad_analyzer_ingested_total",
+            "Synopses ingested by the live analyzer (detect, serve)")),
+        model_swaps(obs::MetricsRegistry::global().counter(
+            "saad_analyzer_model_swaps_total",
+            "Hot model reloads applied at a window boundary.")),
+        model_epoch(obs::MetricsRegistry::global().gauge(
+            "saad_analyzer_model_epoch",
+            "Model epoch of the most recently swapped or restored analyzer "
+            "(0 = the construction model, +1 per applied swap; a restore "
+            "continues from the checkpoint's epoch).")) {}
+
+  static AnalyzerMetrics& get() {
+    static AnalyzerMetrics* metrics = new AnalyzerMetrics();
+    return *metrics;
+  }
+};
 
 /// The watermark at which window `w` closes: its end plus two windows.
 UsTime close_watermark(std::size_t w, UsTime window) {
@@ -16,13 +43,16 @@ UsTime close_watermark(std::size_t w, UsTime window) {
 
 }  // namespace
 
+void detail::register_analyzer_metrics() { AnalyzerMetrics::get(); }
+
 LiveAnalyzer::LiveAnalyzer(OutlierModel model,
                            std::vector<std::uint8_t> model_bytes,
                            Options options)
     : options_(std::move(options)),
       model_(std::make_unique<OutlierModel>(std::move(model))),
       model_bytes_(std::move(model_bytes)),
-      pool_(std::make_unique<AnalyzerPool>(model_.get(), options_.config)),
+      detector_(std::make_unique<AnomalyDetector>(model_.get(),
+                                                  options_.config)),
       close_at_(close_watermark(0, options_.config.window)) {
   // Numbering continues above every file ever written there, valid or not.
   if (options_.checkpoints != nullptr)
@@ -44,22 +74,25 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
     auto m = OutlierModel::load(c.model);
     if (!m) return "checkpoint model is malformed";
     auto model = std::make_unique<OutlierModel>(std::move(*m));
-    pool_ = std::make_unique<AnalyzerPool>(model.get(), options_.config);
+    detector_ = std::make_unique<AnomalyDetector>(model.get(), options_.config);
     model_ = std::move(model);
     model_bytes_ = c.model;
   }
   if (!c.registry.empty() && !load_registry(c.registry))
     return "checkpoint registry is malformed";
-  if (!pool_->restore_state(c.analyzer, c.model_epoch))
+  if (!detector_->restore_state(c.analyzer))
     return "checkpoint analyzer state is malformed";
   verdicts_ = c.anomalies;
   // Windows below the restored cursor closed before the checkpoint; the
   // open ones' tallies count the synopses their [stats] lines report.
-  next_window_ = pool_->restored_next_window();
+  next_window_ = detector_->next_window_to_close();
   close_at_ = close_watermark(next_window_, options_.config.window);
   if (options_.stats != nullptr)
-    for (const auto& [w, synopses] : pool_->open_window_synopses())
+    for (const auto& [w, synopses] : detector_->open_window_synopses())
       window_counts_[w].synopses = synopses;
+  if constexpr (obs::kMetricsEnabled)
+    AnalyzerMetrics::get().model_epoch.set(
+        static_cast<std::int64_t>(c.model_epoch));
   status_.ingested.store(c.ingested, std::memory_order_relaxed);
   status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
   status_.model_epoch.store(c.model_epoch, std::memory_order_relaxed);
@@ -69,10 +102,12 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
 
 void LiveAnalyzer::ingest(const SynopsisBatch& batch) {
   consumed_ += batch.size();
+  if constexpr (obs::kMetricsEnabled)
+    AnalyzerMetrics::get().ingested.inc(batch.size());
   if (options_.tracer != nullptr) options_.tracer->on_dequeued(consumed_);
   bool checkpoint_due = false;
   for (const SynopsisView s : batch) {
-    pool_->ingest(s);
+    detector_->ingest(s);
     watermark_ = std::max(watermark_, s.start + s.duration);
     if (options_.stats != nullptr) {
       const auto w = static_cast<std::size_t>(std::max<UsTime>(s.start, 0) /
@@ -96,7 +131,7 @@ bool LiveAnalyzer::close_ready_windows() {
   const UsTime window = options_.config.window;
   const UsTime safe = watermark_ > 2 * window ? watermark_ - 2 * window : 0;
   if (static_cast<UsTime>(next_window_ + 1) * window > safe) return false;
-  absorb(pool_->advance_to(safe));
+  absorb(detector_->advance_to(safe));
   for (; static_cast<UsTime>(next_window_ + 1) * window <= safe; ++next_window_)
     if (options_.stats != nullptr) print_window(next_window_);
   close_at_ = close_watermark(next_window_, window);
@@ -108,7 +143,7 @@ bool LiveAnalyzer::close_ready_windows() {
 }
 
 void LiveAnalyzer::finish() {
-  absorb(pool_->finish());
+  absorb(detector_->finish());
   if (options_.stats == nullptr) return;
   std::size_t last = next_window_;
   if (!window_counts_.empty())
@@ -117,11 +152,23 @@ void LiveAnalyzer::finish() {
 }
 
 void LiveAnalyzer::absorb(std::vector<Anomaly> closed) {
-  if (options_.tracer != nullptr) options_.tracer->on_window_close(consumed_);
-  if (staged_model_ != nullptr) {  // the close applied the swap
+  if (staged_model_ != nullptr) {  // a window boundary: the swap applies
+    detector_->rebind_model(staged_model_.get());  // reads the old model
     model_ = std::move(staged_model_);
     model_bytes_ = std::move(staged_model_bytes_);
+    const std::uint64_t epoch = status_.model_epoch.load() + 1;
+    status_.model_epoch.store(epoch, std::memory_order_relaxed);
+    if constexpr (obs::kMetricsEnabled) {
+      auto& metrics = AnalyzerMetrics::get();
+      metrics.model_swaps.inc();
+      metrics.model_epoch.set(static_cast<std::int64_t>(epoch));
+    }
+    obs::FlightRecorder::global().record(
+        obs::EventKind::kModelReload,
+        "analyzer: model swapped at window boundary (epoch %llu)",
+        static_cast<unsigned long long>(epoch));
   }
+  if (options_.tracer != nullptr) options_.tracer->on_window_close(consumed_);
   for (const Anomaly& a : closed) {
     if (options_.stats == nullptr) break;
     auto& counts = window_counts_[a.window];
@@ -131,7 +178,6 @@ void LiveAnalyzer::absorb(std::vector<Anomaly> closed) {
                    std::make_move_iterator(closed.end()));
   if (options_.tracer != nullptr) options_.tracer->on_verdict_emit(consumed_);
   status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
-  status_.model_epoch.store(pool_->model_epoch(), std::memory_order_relaxed);
 }
 
 void LiveAnalyzer::print_window(std::size_t w) {
@@ -151,23 +197,20 @@ const OutlierModel* LiveAnalyzer::stage_model(
     std::vector<std::uint8_t> model_bytes) {
   auto m = OutlierModel::load(model_bytes);
   if (!m) return nullptr;
-  // The pool holds the staged pointer until the next close applies it.
-  auto fresh = std::make_unique<OutlierModel>(std::move(*m));
-  pool_->swap_model(fresh.get());
-  staged_model_ = std::move(fresh);
+  staged_model_ = std::make_unique<OutlierModel>(std::move(*m));
   staged_model_bytes_ = std::move(model_bytes);
   return staged_model_.get();
 }
 
 Checkpoint LiveAnalyzer::capture() const {
   Checkpoint c;
-  c.model_epoch = pool_->model_epoch();
+  c.model_epoch = status_.model_epoch.load();
   c.window = options_.config.window;
   c.threads = 1;  // format field; the analyzer is serial
   c.ingested = ingested();
   c.model = model_bytes_;
   c.registry = registry_bytes_;
-  pool_->save_state(c.analyzer);
+  detector_->save_state(c.analyzer);
   c.anomalies = verdicts_;
   return c;
 }

@@ -1,8 +1,14 @@
 // The live analyzer: the one consumer that turns a synopsis stream into
 // windowed verdicts (paper §3.3, Fig. 5), behind `saad_offline detect` and
-// `serve`. Around an AnalyzerPool it owns the model and its bytes, a staged
-// replacement, the verdicts, checkpoints, and a status any thread may read;
-// all else runs on the thread that drains the channel (DESIGN.md §6).
+// `serve`. It owns the AnomalyDetector and the whole model lifecycle — the
+// active model and its bytes, a staged replacement, the model epoch — plus
+// the verdicts, checkpoints, and a status any thread may read; all else runs
+// on the thread that drains the channel (DESIGN.md §6).
+//
+// Lifecycle: construct over a model, load_registry(), optionally resume()
+// from a checkpoint before the first ingest(), then ingest() batches until
+// the stream ends and finish(). stage_model() may come at any point; the
+// staged model applies at the next window close.
 //
 // The close rule: after every synopsis it ingests, the engine closes the
 // windows that end two windows behind the newest synopsis end time,
@@ -13,6 +19,14 @@
 // the stream was cut into batches: `detect` ingests a trace block and
 // `serve` a channel drain at a time, and both close windows exactly where
 // one-at-a-time ingestion would.
+//
+// The rule assumes a stream in end-time order, up to ordinary lateness: a
+// trace file, or the server's channel, which one Producer fills in arrival
+// order. A drain of several producer threads' shards is not one: it hands
+// over one shard whole before the next, so the newest synopsis of the first
+// shard would close windows that older synopses of the next still belong
+// to. Monitor, which drains tracker threads, closes by its caller's clock
+// instead (core/monitor.h).
 #pragma once
 
 #include <atomic>
@@ -24,8 +38,8 @@
 #include <span>
 #include <vector>
 
-#include "core/analyzer_pool.h"
 #include "core/checkpoint.h"
+#include "core/detector.h"
 #include "core/log_registry.h"
 
 namespace saad::obs {
@@ -81,7 +95,10 @@ class LiveAnalyzer {
   void ingest(std::span<const Synopsis> batch);
   void finish();  // closes every window still open
 
-  /// Stages a model for the next window close; null if the bytes won't decode.
+  /// Stages a model for the next window close, which rebinds the detector to
+  /// it, bumps the model epoch and retires the old model; staging again
+  /// before that close keeps only the newest (one epoch bump). Null if the
+  /// bytes won't decode.
   const OutlierModel* stage_model(std::vector<std::uint8_t> model_bytes);
 
   /// A checkpoint but for the sequence and watermarks checkpoint() adds.
@@ -96,7 +113,7 @@ class LiveAnalyzer {
  private:
   /// Closes what the watermark has passed; true if a checkpoint fell due.
   bool close_ready_windows();
-  /// Takes a close's verdicts and retires the model the close swapped out.
+  /// Applies a staged model, then takes a close's verdicts.
   void absorb(std::vector<Anomaly> closed);
   void print_window(std::size_t w);
 
@@ -107,7 +124,7 @@ class LiveAnalyzer {
   std::vector<std::uint8_t> staged_model_bytes_;
   LogRegistry registry_;
   std::vector<std::uint8_t> registry_bytes_;
-  std::unique_ptr<AnalyzerPool> pool_;
+  std::unique_ptr<AnomalyDetector> detector_;  // resume() rebuilds it
   std::vector<Anomaly> verdicts_;
   std::uint64_t consumed_ = 0;  // synopses ingested by this engine
   std::uint64_t next_sequence_ = 1;

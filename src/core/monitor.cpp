@@ -1,13 +1,11 @@
 #include "core/monitor.h"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/log_registry.h"
 #include "core/telemetry.h"
 #include "core/trace_io.h"
-#include "core/varint.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -108,7 +106,7 @@ void Monitor::arm(const DetectorConfig& config) {
   if (model_ == nullptr)
     throw std::logic_error("Monitor::arm requires a trained model");
   drop_queued();  // synopses produced between training and arming
-  analyzer_ = std::make_unique<AnalyzerPool>(model_.get(), config);
+  armed_ = std::make_unique<Armed>(*model_, config);
   mode_ = Mode::kDetecting;
   obs::FlightRecorder::global().record(obs::EventKind::kModeChange,
                                        "monitor: armed");
@@ -133,8 +131,8 @@ std::vector<Anomaly> Monitor::poll(UsTime now) {
     }
     return {};
   }
-  for (const SynopsisView s : batch_) analyzer_->ingest(s);
-  return analyzer_->advance_to(now);
+  for (const SynopsisView s : batch_) armed_->detector.ingest(s);
+  return armed_->detector.advance_to(now);
 }
 
 void Monitor::drop_queued() {
@@ -144,77 +142,11 @@ void Monitor::drop_queued() {
 }
 
 std::vector<Anomaly> Monitor::finish() {
-  if (analyzer_ == nullptr) return {};
+  if (armed_ == nullptr) return {};
   auto out = poll(clock_->now());
-  auto tail = analyzer_->finish();
+  auto tail = armed_->detector.finish();
   out.insert(out.end(), tail.begin(), tail.end());
   return out;
-}
-
-namespace {
-constexpr std::uint64_t kMonitorStateVersion = 1;
-}
-
-bool Monitor::save_state(std::vector<std::uint8_t>& out) const {
-  if (analyzer_ == nullptr || model_ == nullptr) return false;
-  put_varint(kMonitorStateVersion, out);
-  std::vector<std::uint8_t> model_bytes;
-  model_->save(model_bytes);
-  put_varint(model_bytes.size(), out);
-  out.insert(out.end(), model_bytes.begin(), model_bytes.end());
-  const DetectorConfig& config = analyzer_->config();
-  put_varint(zigzag(config.window), out);
-  put_double(config.alpha, out);
-  put_varint(static_cast<std::uint64_t>(config.test_kind), out);
-  put_varint(config.min_n, out);
-  put_varint(config.new_signature_is_anomaly ? 1 : 0, out);
-  put_varint(config.bonferroni ? 1 : 0, out);
-  put_varint(1, out);  // thread count: a format field, ignored on restore
-  std::vector<std::uint8_t> analyzer_bytes;
-  analyzer_->save_state(analyzer_bytes);
-  put_varint(analyzer_bytes.size(), out);
-  out.insert(out.end(), analyzer_bytes.begin(), analyzer_bytes.end());
-  return true;
-}
-
-bool Monitor::restore_state(std::span<const std::uint8_t> in) {
-  std::uint64_t v = 0;
-  if (!get_varint(in, v) || v != kMonitorStateVersion) return false;
-  if (!get_varint(in, v) || v > in.size()) return false;
-  auto model = OutlierModel::load(in.first(static_cast<std::size_t>(v)));
-  if (!model) return false;
-  in = in.subspan(static_cast<std::size_t>(v));
-  DetectorConfig config;
-  if (!get_varint(in, v)) return false;
-  config.window = unzigzag(v);
-  if (config.window <= 0) return false;
-  if (!get_double(in, config.alpha) || !std::isfinite(config.alpha) ||
-      config.alpha <= 0.0 || config.alpha >= 1.0) {
-    return false;
-  }
-  if (!get_varint(in, v) || v > 2) return false;
-  config.test_kind = static_cast<stats::ProportionTestKind>(v);
-  if (!get_varint(in, config.min_n)) return false;
-  if (!get_varint(in, v) || v > 1) return false;
-  config.new_signature_is_anomaly = v != 0;
-  if (!get_varint(in, v) || v > 1) return false;
-  config.bonferroni = v != 0;
-  if (!get_varint(in, v)) return false;  // thread count, ignored
-  if (!get_varint(in, v) || v != in.size()) return false;
-
-  // All parsed; build the new plane before touching the monitor, so a
-  // malformed analyzer payload leaves the current state intact.
-  auto restored = std::make_unique<OutlierModel>(std::move(*model));
-  auto analyzer = std::make_unique<AnalyzerPool>(restored.get(), config);
-  if (!analyzer->restore_state(in)) return false;
-
-  drop_queued();  // arm() discipline
-  model_ = std::move(restored);
-  analyzer_ = std::move(analyzer);
-  mode_ = Mode::kDetecting;
-  obs::FlightRecorder::global().record(
-      obs::EventKind::kModeChange, "monitor: restored from checkpoint state");
-  return true;
 }
 
 }  // namespace saad::core

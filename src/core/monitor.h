@@ -1,6 +1,6 @@
 // Monitor: the end-to-end SAAD facade (Fig. 5). Wires per-host task execution
 // trackers through the synopsis channel into either a training trace capture
-// or the armed anomaly detector.
+// or an armed AnomalyDetector, in process.
 //
 // Lifecycle:
 //   Monitor mon(&registry, &clock);
@@ -11,14 +11,24 @@
 //   mon.arm(detector_config);               // switch to detection
 //   ... run workload; periodically: auto anomalies = mon.poll(clock.now());
 //   auto tail = mon.finish();
+//
+// arm() copies the current model into the armed plane, and the detector
+// reads that copy until the next arm(): set_model() and train() while armed
+// change only what the next arm() takes.
+//
+// Windows close by the caller's clock: poll(now) ingests everything drained
+// and then closes the windows that ended by `now`. Monitor does not take
+// LiveAnalyzer's watermark rule (core/live_analyzer.h), which assumes a
+// stream in end-time order. Tracker threads push into separate channel
+// shards, and a drain hands over one shard whole before the next, so the
+// newest synopsis of one thread would close windows that older synopses of
+// another thread still belong to.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
-#include "core/analyzer_pool.h"
 #include "core/channel.h"
 #include "core/detector.h"
 #include "core/tracker.h"
@@ -55,15 +65,19 @@ class Monitor {
   /// Training on an empty trace is valid and yields an empty model (zero
   /// stages): once armed, every task then hits an unknown stage and raises a
   /// new-signature flow anomaly — loud, by design, rather than silent.
+  /// While armed, the detector keeps its model until the next arm().
   void train(const TrainingConfig& config = {});
 
-  /// Provide an externally trained model instead.
+  /// Provide an externally trained model instead; like train(), it reaches
+  /// detection at the next arm().
   void set_model(OutlierModel model);
+  /// The model the next arm() takes (not necessarily the armed one).
   const OutlierModel* model() const { return model_.get(); }
 
-  /// Switch to detection. Requires a trained model.
+  /// Switch to detection over a copy of the current model, replacing any
+  /// armed detector and its open windows. Requires a trained model.
   void arm(const DetectorConfig& config = {});
-  bool armed() const { return analyzer_ != nullptr; }
+  bool armed() const { return armed_ != nullptr; }
 
   /// Drain the channel; when armed, ingest and close windows ending <= now.
   /// When training, append to the training trace instead. When idle (before
@@ -77,21 +91,6 @@ class Monitor {
   /// synopses in between returns an empty list. Returns empty when unarmed.
   std::vector<Anomaly> finish();
 
-  // ---- Warm-restart state (checkpoint.h) -----------------------------------
-
-  /// Serializes the armed detection plane: the model, the detector config,
-  /// and every open window (AnomalyDetector::save_state). False unless armed.
-  /// Trackers and the channel are not captured — in-flight tasks at crash
-  /// time never produced a synopsis, so there is nothing to restore.
-  bool save_state(std::vector<std::uint8_t>& out) const;
-
-  /// Rebuilds the detection plane from save_state() bytes: loads the model,
-  /// arms with the stored config, and restores the open windows. The config's
-  /// thread-count field is a format leftover: save writes 1 and restore
-  /// ignores it. False on malformed input, leaving the monitor unchanged.
-  /// Like arm(), discards anything queued beforehand.
-  bool restore_state(std::span<const std::uint8_t> in);
-
   const std::vector<Synopsis>& training_trace() const {
     return training_trace_;
   }
@@ -101,6 +100,15 @@ class Monitor {
  private:
   enum class Mode { kIdle, kTraining, kRecording, kDetecting };
 
+  /// The detection plane arm() builds: its own copy of the model and the
+  /// detector that reads it.
+  struct Armed {
+    Armed(const OutlierModel& m, const DetectorConfig& config)
+        : model(m), detector(&model, config) {}
+    OutlierModel model;
+    AnomalyDetector detector;
+  };
+
   void drop_queued();  // drains the channel and discards what it held
 
   const LogRegistry* registry_;
@@ -109,8 +117,8 @@ class Monitor {
   SynopsisBatch batch_;  // poll()'s drain, reused
   std::vector<std::unique_ptr<TaskExecutionTracker>> trackers_;  // by host
   std::vector<Synopsis> training_trace_;
-  std::unique_ptr<OutlierModel> model_;
-  std::unique_ptr<AnalyzerPool> analyzer_;
+  std::unique_ptr<OutlierModel> model_;  // what the next arm() copies
+  std::unique_ptr<Armed> armed_;
   TraceWriter* trace_writer_ = nullptr;  // non-null iff mode_ == kRecording
   Mode mode_ = Mode::kIdle;
 };

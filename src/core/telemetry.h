@@ -29,7 +29,9 @@ void register_pipeline_metrics();
 
 namespace detail {
 void register_channel_metrics();
-void register_analyzer_pool_metrics();
+/// saad_analyzer_*: LiveAnalyzer's ingested synopses, applied model swaps
+/// and the model epoch (core/live_analyzer.h).
+void register_analyzer_metrics();
 /// saad_detector_*: synopses, windows closed, anomalies, tests and
 /// rejections, window-close latency, and the two counters of data the
 /// detector moves or flags without a verdict of its own —

@@ -4,9 +4,9 @@
 //  * CheckpointDir newest-valid fallback — a torn newest file falls back to
 //    the previous checkpoint, counted in saad_checkpoint_corrupt_total;
 //  * detector state canonicality: save -> restore -> save round-trips
-//    bit-identically, and save -> crash -> restore -> continue produces
-//    verdicts byte-identical to an uninterrupted run;
-//  * hot model swaps apply exactly at a window boundary.
+//    bit-identically, and a malformed state leaves the detector unchanged.
+// Resuming a checkpoint mid-stream and hot model swaps are LiveAnalyzer's,
+// and tests/core/live_analyzer_test.cpp covers them.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -16,11 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/analyzer_pool.h"
 #include "core/log_registry.h"
-#include "core/monitor.h"
-#include "core/varint.h"
 #include "obs/metrics.h"
 #include "testutil/synthetic_stream.h"
 #include "testutil/temp_dir.h"
@@ -254,7 +250,7 @@ TEST(CheckpointDir, TornNewestFallsBackToPreviousLoudly) {
   EXPECT_EQ(dir.max_sequence(), 2u);
 }
 
-// ---- Detector / analyzer state ---------------------------------------------
+// ---- Detector state -------------------------------------------------------
 
 TEST(DetectorState, SaveRestoreRoundTripsCanonically) {
   const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
@@ -293,210 +289,6 @@ TEST(DetectorState, MalformedInputLeavesDetectorUnchanged) {
     std::vector<std::uint8_t> fresh_bytes;
     fresh.save_state(fresh_bytes);
     EXPECT_EQ(untouched, fresh_bytes) << "cut=" << cut;
-  }
-}
-
-TEST(PoolState, ResumeMatchesUninterruptedAcrossThreadCounts) {
-  const auto model = OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
-  const auto stream = make_trace(12, 12000, 0.05, 0.08);
-  const std::size_t half = stream.size() / 2;
-  DetectorConfig config;
-  // The 8.4s stream spans four 2s windows, so the mid-stream barrier at
-  // ~4.2s has already closed two of them — the checkpoint carries a real
-  // close cursor, not just open tallies.
-  config.window = sec(2);
-
-  // Golden: one uninterrupted run with a mid-stream close barrier.
-  std::string golden;
-  {
-    AnalyzerPool pool(&model, config);
-    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-    golden += dump(pool.advance_to(stream[half].start));
-    for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-    golden += dump(pool.finish());
-  }
-  ASSERT_FALSE(golden.empty());
-
-  // Crash after the mid-stream barrier, restore, continue: the combined
-  // verdicts must be byte-identical.
-  std::string combined;
-  std::vector<std::uint8_t> saved;
-  {
-    AnalyzerPool pool(&model, config);
-    for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-    combined += dump(pool.advance_to(stream[half].start));
-    pool.save_state(saved);
-    // SIGKILL here: the analyzer is dropped without finish().
-  }
-  AnalyzerPool pool(&model, config);
-  ASSERT_TRUE(pool.restore_state(saved));
-  EXPECT_GT(pool.restored_next_window(), 0u);  // some windows already closed
-  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-  combined += dump(pool.finish());
-  EXPECT_EQ(combined, golden);
-}
-
-TEST(PoolState, ModelSwapAppliesAtWindowBoundary) {
-  const auto model_a =
-      OutlierModel::train(make_trace(11, 20000, 0.002, 0.005));
-  const auto model_b =
-      OutlierModel::train(make_trace(21, 20000, 0.02, 0.03));
-  const auto stream = make_trace(12, 12000, 0.05, 0.08);
-  const std::size_t half = stream.size() / 2;
-  DetectorConfig config;
-  config.window = sec(5);
-
-  AnalyzerPool pool(&model_a, config);
-  std::string swapped;
-  for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-  // Staged mid-stream: nothing changes until the next boundary.
-  pool.swap_model(&model_b);
-  EXPECT_EQ(pool.model_epoch(), 0u);
-  swapped += dump(pool.advance_to(stream[half].start));
-  EXPECT_EQ(pool.model_epoch(), 1u);  // applied at the boundary
-  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-  swapped += dump(pool.finish());
-  EXPECT_EQ(pool.model_epoch(), 1u);  // no re-apply without a new stage
-  ASSERT_FALSE(swapped.empty());
-
-  // The swap is observable: the same stream without it verdicts differently
-  // (model B was trained noisier, so post-swap windows test against
-  // different baselines).
-  AnalyzerPool no_swap(&model_a, config);
-  std::string unswapped;
-  for (std::size_t i = 0; i < half; ++i) no_swap.ingest(stream[i]);
-  unswapped += dump(no_swap.advance_to(stream[half].start));
-  for (std::size_t i = half; i < stream.size(); ++i)
-    no_swap.ingest(stream[i]);
-  unswapped += dump(no_swap.finish());
-  EXPECT_NE(unswapped, swapped);
-}
-
-// ---- Monitor --------------------------------------------------------------
-
-class MonitorState : public ::testing::Test {
- protected:
-  MonitorState()
-      : stage(registry.register_stage("Handler")),
-        lp_a(registry.register_log_point(stage, Level::kDebug, "recv")),
-        lp_b(registry.register_log_point(stage, Level::kDebug, "done")),
-        lp_rare(registry.register_log_point(stage, Level::kWarn, "retry")) {
-    config.window = sec(10);
-  }
-
-  void run_schedule(Monitor& monitor, ManualClock& clock, std::uint64_t seed,
-                    bool faulty, int tasks) {
-    Rng rng(seed);
-    for (int i = 0; i < tasks; ++i) {
-      const auto host = static_cast<HostId>(rng.next_below(4));
-      auto& tracker = monitor.tracker(host);
-      auto task = tracker.begin_task(stage);
-      task->on_log(lp_a, clock.now());
-      if (faulty && rng.next_double() < 0.15) task->on_log(lp_rare, clock.now());
-      UsTime d = ms(2 + static_cast<std::int64_t>(rng.next_below(5)));
-      if (faulty && rng.next_double() < 0.2) d *= 30;
-      clock.advance(d);
-      task->on_log(lp_b, clock.now());
-      tracker.end_task(std::move(task));
-      clock.advance(ms(1));
-    }
-  }
-
-  /// A model trained on a fault-free schedule.
-  OutlierModel train() {
-    ManualClock clock;
-    Monitor trainer(&registry, &clock);
-    trainer.start_training();
-    run_schedule(trainer, clock, 77, /*faulty=*/false, 4000);
-    trainer.train();
-    return *trainer.model();
-  }
-
-  /// Restores `state` into a fresh monitor whose clock starts at `now`,
-  /// saves it again into `resaved`, and runs the continuation schedule.
-  std::string resume(std::span<const std::uint8_t> state, UsTime now,
-                     std::vector<std::uint8_t>& resaved) {
-    ManualClock clock;
-    clock.advance(now);
-    Monitor monitor(&registry, &clock);
-    EXPECT_TRUE(monitor.restore_state(state));
-    EXPECT_TRUE(monitor.save_state(resaved));
-    run_schedule(monitor, clock, 901, /*faulty=*/true, 1500);
-    std::string out = dump(monitor.poll(clock.now()));
-    out += dump(monitor.finish());
-    return out;
-  }
-
-  LogRegistry registry;
-  StageId stage;
-  LogPointId lp_a, lp_b, lp_rare;
-  DetectorConfig config;
-};
-
-TEST_F(MonitorState, SaveRestoreResumesDetection) {
-  // Arm, run the first half, and poll once.
-  ManualClock clock_a;
-  Monitor a(&registry, &clock_a);
-  a.set_model(train());
-  a.arm(config);
-  run_schedule(a, clock_a, 900, /*faulty=*/true, 1500);
-  const std::string head = dump(a.poll(clock_a.now()));
-  std::vector<std::uint8_t> saved;
-  ASSERT_TRUE(a.save_state(saved));
-  const UsTime snapshot_now = clock_a.now();
-
-  // Continue A to the end — the golden tail.
-  run_schedule(a, clock_a, 901, /*faulty=*/true, 1500);
-  std::string tail_a = dump(a.poll(clock_a.now()));
-  tail_a += dump(a.finish());
-
-  // B restores the snapshot, starts its clock at the snapshot time, and
-  // replays the identical continuation schedule.
-  std::vector<std::uint8_t> resaved;
-  EXPECT_EQ(resume(saved, snapshot_now, resaved), tail_a);
-  EXPECT_EQ(resaved, saved);  // canonical: equal state -> equal bytes
-  ASSERT_FALSE((head + tail_a).empty());
-}
-
-TEST_F(MonitorState, ThreadCountFieldIsIgnoredOnRestore) {
-  ManualClock clock_a;
-  Monitor a(&registry, &clock_a);
-  a.set_model(train());
-  a.arm(config);
-  run_schedule(a, clock_a, 900, /*faulty=*/true, 1500);
-  a.poll(clock_a.now());
-  std::vector<std::uint8_t> saved;
-  ASSERT_TRUE(a.save_state(saved));
-
-  // Find the thread-count varint: it follows the version, the model, and the
-  // window, alpha, test kind, min_n, new-signature and bonferroni fields.
-  std::span<const std::uint8_t> in(saved);
-  std::uint64_t v = 0;
-  double alpha = 0;
-  ASSERT_TRUE(get_varint(in, v));  // version
-  ASSERT_TRUE(get_varint(in, v) && v <= in.size());
-  in = in.subspan(static_cast<std::size_t>(v));
-  ASSERT_TRUE(get_varint(in, v) && get_double(in, alpha));
-  for (int field = 0; field < 4; ++field) ASSERT_TRUE(get_varint(in, v));
-  const std::size_t field_begin = saved.size() - in.size();
-  ASSERT_TRUE(get_varint(in, v));
-  EXPECT_EQ(v, 1u);  // the serial analyzer writes 1
-  const std::size_t field_end = saved.size() - in.size();
-
-  std::vector<std::uint8_t> resaved;
-  const std::string golden = resume(saved, clock_a.now(), resaved);
-  ASSERT_FALSE(golden.empty());
-
-  // A monitor armed with 4 analyzer threads wrote 4 here; 1 << 20 must not
-  // start a million of anything.
-  for (const std::uint64_t threads : {std::uint64_t{4}, std::uint64_t{1} << 20}) {
-    std::vector<std::uint8_t> state(saved.begin(), saved.begin() + field_begin);
-    put_varint(threads, state);
-    state.insert(state.end(), saved.begin() + field_end, saved.end());
-    resaved.clear();
-    EXPECT_EQ(resume(state, clock_a.now(), resaved), golden)
-        << "threads=" << threads;
-    EXPECT_EQ(resaved, saved) << "threads=" << threads;
   }
 }
 

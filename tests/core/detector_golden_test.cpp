@@ -1,8 +1,7 @@
 // Output goldens for the analyzer hot path. Each scenario replays a fixed
-// stream through the detector (or the analyzer pool) and renders a
-// transcript: every anomaly at full precision with its example signature,
-// its describe() line, and the size and FNV-1a digest of save_state() bytes
-// taken mid-stream. The committed goldens under tests/core/goldens/ were
+// stream through the detector and renders a transcript: every anomaly at
+// full precision with its example signature, its describe() line, and the
+// size and FNV-1a digest of save_state() bytes taken mid-stream. The committed goldens under tests/core/goldens/ were
 // captured from the detector that keyed window tallies by Signature value in
 // std::maps, so any change to verdicts, evidence, or checkpoint bytes shows
 // up as a diff. On a mismatch the actual transcript is written to
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/analyzer_pool.h"
 #include "core/detector.h"
 #include "core/log_registry.h"
 #include "core/monitor.h"
@@ -134,25 +132,25 @@ std::string record_cassandra(const testutil::TempDir& tmp,
 
 std::string run_cassandra(const std::string& path, const LogRegistry& registry,
                           const OutlierModel& model) {
-  AnalyzerPool pool(&model);
+  AnomalyDetector detector(&model);
   Transcript transcript(registry);
   TraceReader reader(path);
   Synopsis s;
   bool checkpointed = false;
   while (reader.next(s)) {
     if (s.start < minutes(3)) continue;  // the training span
-    pool.ingest(s);
+    detector.ingest(s);
     if (!checkpointed && s.start >= minutes(4) + sec(30)) {
       // Mid-stream: close minute 3, then checkpoint the open windows. Tasks
       // of minute 3 that end later are re-attributed to minute 4.
       checkpointed = true;
-      transcript.verdicts("mid", pool.advance_to(minutes(4)));
+      transcript.verdicts("mid", detector.advance_to(minutes(4)));
       std::vector<std::uint8_t> state;
-      pool.save_state(state);
+      detector.save_state(state);
       transcript.state("mid", state);
     }
   }
-  transcript.verdicts("tail", pool.finish());
+  transcript.verdicts("tail", detector.finish());
   return transcript.text();
 }
 
@@ -325,7 +323,7 @@ std::string run_swap(const OutlierModel& before, const OutlierModel& after) {
   // both are ingested into window 0 on either side of the swap.
   DetectorConfig config;
   config.window = sec(10);
-  AnalyzerPool pool(&before, config);
+  AnomalyDetector detector(&before, config);
   LogRegistry registry;
   Transcript transcript(registry);
   Rng rng(31);
@@ -347,20 +345,20 @@ std::string run_swap(const OutlierModel& before, const OutlierModel& after) {
       }
       s.duration = static_cast<UsTime>(rng.lognormal_median(ms(4), 0.2));
       if (rng.chance(0.1)) s.duration *= 20;
-      pool.ingest(s);
+      detector.ingest(s);
     }
   };
   feed(2000, 0);
-  pool.swap_model(&after);
-  // Closes nothing (window 0 ends at 10 s): the swap applies with window 0
-  // open.
-  transcript.verdicts("swap", pool.advance_to(sec(5)));
+  // Closes nothing (window 0 ends at 10 s): the swap right after it, where
+  // LiveAnalyzer applies a staged model, runs with window 0 open.
+  transcript.verdicts("swap", detector.advance_to(sec(5)));
+  detector.rebind_model(&after);
   feed(2000, sec(5));
   std::vector<std::uint8_t> state;
-  pool.save_state(state);
+  detector.save_state(state);
   transcript.state("mid", state);
-  transcript.verdicts("close", pool.advance_to(sec(10)));
-  transcript.verdicts("tail", pool.finish());
+  transcript.verdicts("close", detector.advance_to(sec(10)));
+  transcript.verdicts("tail", detector.finish());
   return transcript.text();
 }
 

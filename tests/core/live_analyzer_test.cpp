@@ -4,8 +4,8 @@
 //    checkpoint and continue: verdicts, ingested count and the final capture
 //    equal an uninterrupted run's (the in-process twin of the
 //    saad_offline_crash_restart_t1 acceptance test);
-//  * a model staged mid-window applies at the next close, and captures carry
-//    the bytes of the model that is applied;
+//  * a model staged mid-window applies at the next close, captures carry
+//    the bytes of the model that is applied, and the verdicts change;
 //  * a resumed engine continues the checkpoint's model epoch, and its
 //    `[stats]` lines count the synopses the checkpoint's open windows hold;
 //  * a checkpoint that does not fit is refused, saying why;
@@ -166,6 +166,14 @@ TEST_F(LiveAnalyzerTest, StagedModelAppliesAtTheNextClose) {
   engine->finish();
   EXPECT_EQ(engine->capture().model_epoch, 1u);
   EXPECT_EQ(engine->capture().model, model_b);
+
+  // The swap is observable: model B was trained noisier, so the windows
+  // after it test against other baselines than the same stream under A.
+  auto unswapped = make_engine(model_a, nullptr);
+  for (i = 0; i < stream.size(); i += kBatch) unswapped->ingest(batch(i));
+  unswapped->finish();
+  ASSERT_FALSE(engine->verdicts().empty());
+  EXPECT_NE(dump(engine->verdicts()), dump(unswapped->verdicts()));
 }
 
 TEST_F(LiveAnalyzerTest, ResumeContinuesTheCheckpointModelEpoch) {

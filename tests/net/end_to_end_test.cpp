@@ -12,8 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/analyzer_pool.h"
 #include "core/channel.h"
+#include "core/detector.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "testutil/synthetic_stream.h"
@@ -21,7 +21,7 @@
 namespace saad::net {
 namespace {
 
-using core::AnalyzerPool;
+using core::AnomalyDetector;
 using core::DetectorConfig;
 using core::OutlierModel;
 using core::Synopsis;
@@ -72,18 +72,19 @@ std::vector<Synopsis> loopback_roundtrip(const std::vector<Synopsis>& stream,
   return received;
 }
 
-/// Replays `stream` through an AnalyzerPool with a mid-stream advance_to
+/// Replays `stream` through an AnomalyDetector with a mid-stream advance_to
 /// plus a finish (the way Monitor::poll drives it) and dumps the verdicts.
-std::string run_pool(const OutlierModel& model,
-                     const std::vector<Synopsis>& stream) {
+std::string run_detector(const OutlierModel& model,
+                         const std::vector<Synopsis>& stream) {
   DetectorConfig config;
   config.window = sec(5);
-  AnalyzerPool pool(&model, config);
+  AnomalyDetector detector(&model, config);
   const std::size_t half = stream.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) pool.ingest(stream[i]);
-  std::string out = dump(pool.advance_to(stream[half].start));
-  for (std::size_t i = half; i < stream.size(); ++i) pool.ingest(stream[i]);
-  out += dump(pool.finish());
+  for (std::size_t i = 0; i < half; ++i) detector.ingest(stream[i]);
+  std::string out = dump(detector.advance_to(stream[half].start));
+  for (std::size_t i = half; i < stream.size(); ++i)
+    detector.ingest(stream[i]);
+  out += dump(detector.finish());
   return out;
 }
 
@@ -114,14 +115,14 @@ TEST(NetEndToEnd, LoopbackDeliveryIsBitIdenticalAndOrdered) {
   EXPECT_EQ(stats.shed_synopses, 0u);
 }
 
-TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
+TEST(NetEndToEnd, VerdictsMatchInProcessDetect) {
   const auto training = make_trace(11, 20000, 0.002, 0.005);
   const auto model = OutlierModel::train(training);
   // Elevated rare-signature and stretched-duration rates so both the flow
   // and the performance tests fire — an empty golden would be vacuous.
   const auto stream = make_trace(12, 20000, 0.05, 0.08);
 
-  const std::string in_process = run_pool(model, stream);
+  const std::string in_process = run_detector(model, stream);
   ASSERT_FALSE(in_process.empty())
       << "workload produced no anomalies — the golden comparison is vacuous";
 
@@ -130,7 +131,7 @@ TEST(NetEndToEnd, VerdictsMatchInProcessDetectAtAnyThreadCount) {
   ASSERT_EQ(received.size(), stream.size());
   EXPECT_EQ(stats.shed_synopses, 0u);
 
-  EXPECT_EQ(run_pool(model, received), in_process);
+  EXPECT_EQ(run_detector(model, received), in_process);
 }
 
 }  // namespace
