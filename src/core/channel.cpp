@@ -1,5 +1,7 @@
 #include "core/channel.h"
 
+#include <algorithm>
+
 #include "common/thread_index.h"
 #include "core/telemetry.h"
 #include "obs/metrics.h"
@@ -68,13 +70,16 @@ void SynopsisChannel::push(SynopsisView s) {
   // Stable per thread, so a single producer thread's synopses stay FIFO
   // within one shard.
   const std::size_t shard_index = thread_index() % shards_.size();
+  const UsTime end = s.start + s.duration;
   Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
     shard.items.append(s);
+    shard.newest_end = std::max(shard.newest_end, end);
     shard.pushed += 1;
     shard.encoded_bytes += wire;
   }
+  wake_if_due(end);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc();
@@ -87,14 +92,20 @@ void SynopsisChannel::push_batch(std::size_t shard_index,
                                  const SynopsisBatch& batch) {
   if (batch.empty()) return;
   std::uint64_t wire = 0;
-  for (const SynopsisView s : batch) wire += encoded_size(s);
+  UsTime newest = kNothingQueued;
+  for (const SynopsisView s : batch) {
+    wire += encoded_size(s);
+    newest = std::max(newest, s.start + s.duration);
+  }
   Shard& shard = shards_[shard_index];
   {
     std::lock_guard lock(shard.mu);
     shard.items.append(batch);
+    shard.newest_end = std::max(shard.newest_end, newest);
     shard.pushed += batch.size();
     shard.encoded_bytes += wire;
   }
+  wake_if_due(newest);
   if constexpr (obs::kMetricsEnabled) {
     auto& metrics = ChannelMetrics::get();
     metrics.enqueued.inc(batch.size());
@@ -111,6 +122,7 @@ void SynopsisChannel::drain(SynopsisBatch& out) {
       std::lock_guard lock(shards_[i].mu);
       if (shards_[i].items.empty()) continue;
       taken.swap(shards_[i].items);
+      shards_[i].newest_end = kNothingQueued;
     }
     if constexpr (obs::kMetricsEnabled) {
       auto& metrics = ChannelMetrics::get();
@@ -129,6 +141,30 @@ void SynopsisChannel::drain(std::vector<Synopsis>& out) {
   drain(values_);
   values_.copy_to(out);
   values_.clear();
+}
+
+bool SynopsisChannel::wait_for(UsTime end,
+                               std::chrono::microseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  wake_at_.store(end);
+  std::unique_lock lock(wait_mu_);
+  const bool due = woken_.wait_until(lock, deadline,
+                                     [&] { return queued_through(end); });
+  wake_at_.store(kNoWaiter);
+  return due;
+}
+
+void SynopsisChannel::wake() {
+  std::lock_guard lock(wait_mu_);
+  woken_.notify_one();
+}
+
+bool SynopsisChannel::queued_through(UsTime end) {
+  for (Shard& shard : shards_) {
+    std::lock_guard lock(shard.mu);
+    if (shard.newest_end >= end) return true;
+  }
+  return false;
 }
 
 std::uint64_t SynopsisChannel::pushed() const {

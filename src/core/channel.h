@@ -35,10 +35,38 @@
 // when a synopsis becomes visible to drain() (i.e. at direct push or at
 // Producer flush), and pushed()/encoded_bytes() sum the shards, so after
 // every producer has flushed, pushed() == the number drain() returns.
+//
+// The consumer can block instead of polling: wait_for(end, timeout) returns
+// true as soon as a visible synopsis ends (start + duration) at or after
+// `end`, and false once `timeout` passes. `serve` waits on the end time at
+// which its analyzer closes the next window, so it wakes when a window's
+// verdicts are due rather than on every publish (DESIGN.md §6). One thread
+// waits at a time, the one that drains. Each shard keeps the newest end time
+// it holds, under its mutex: every append raises it and drain() resets it.
+// One atomic threshold, on a cache line of its own, holds the waiter's `end`,
+// and the maximum UsTime while nobody waits. After unlocking its shard, a
+// producer compares the end it appended with the threshold, and only a
+// crossing takes the wait mutex and notifies; the rest of the time a push
+// pays one load and one compare of a line that only the waiter writes.
+//
+// No wake is lost. The waiter stores its threshold, then, holding the wait
+// mutex, reads every shard's newest end under that shard's mutex before it
+// sleeps (the condition variable releases the wait mutex as it blocks). A
+// producer's append either took its shard's mutex before the waiter's read
+// of that shard, and the read sees it, or after, and then the waiter's
+// store of the threshold happens before the producer's load of it (the
+// shard mutex orders the two), so the producer sees the threshold, crosses
+// it, and notifies. It notifies under the wait mutex, which the waiter holds
+// from its reads until it blocks, so the notify cannot fall between them.
+// The waiter re-reads the shards after every wake-up, so a spurious or stale
+// wake-up never makes it return true.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -88,6 +116,11 @@ class SynopsisChannel {
   /// The same, as Synopsis values.
   void drain(std::vector<Synopsis>& out);
 
+  /// Blocks until a queued synopsis ends (start + duration) at or after
+  /// `end`, true then, or until `timeout` passes with none queued, false
+  /// then. For the one consumer: at most one thread may wait at a time.
+  bool wait_for(UsTime end, std::chrono::microseconds timeout);
+
   /// Lifetime totals over everything made visible so far (Fig. 8 reads
   /// encoded_bytes() as the stream's wire volume).
   std::uint64_t pushed() const;
@@ -96,18 +129,36 @@ class SynopsisChannel {
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
+  static constexpr UsTime kNoWaiter = std::numeric_limits<UsTime>::max();
+  static constexpr UsTime kNothingQueued = std::numeric_limits<UsTime>::min();
+
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    SynopsisBatch items;              // guarded by mu
-    std::uint64_t pushed = 0;         // guarded by mu
-    std::uint64_t encoded_bytes = 0;  // guarded by mu
+    SynopsisBatch items;                 // guarded by mu
+    UsTime newest_end = kNothingQueued;  // of `items`; guarded by mu
+    std::uint64_t pushed = 0;            // guarded by mu
+    std::uint64_t encoded_bytes = 0;     // guarded by mu
   };
 
   /// Appends `batch` to `shard` under its mutex and bumps the counters.
   void push_batch(std::size_t shard, const SynopsisBatch& batch);
+  /// A producer's half of wait_for(): wakes the waiter if `end` reaches it.
+  void wake_if_due(UsTime end) {
+    if (end >= wake_at_.load()) wake();
+  }
+  void wake();
+  /// True if some shard holds a synopsis that ends at or after `end`.
+  bool queued_through(UsTime end);
 
   std::vector<Shard> shards_;
   std::atomic<std::size_t> next_producer_shard_{0};
+  // wait_for()'s threshold, on a cache line of its own: producers read it
+  // after every append, and only the waiter writes it.
+  alignas(64) std::atomic<UsTime> wake_at_{kNoWaiter};
+  // Held by the waiter from its look at the shards until it sleeps, and by
+  // a crossing producer while it notifies.
+  alignas(64) std::mutex wait_mu_;
+  std::condition_variable woken_;
   // The consumer's own: what drain() swaps out of a shard, and the value
   // drain's batch.
   SynopsisBatch taken_;

@@ -74,6 +74,23 @@ void put_section(CheckpointSection id, std::span<const std::uint8_t> payload,
   put_frame(static_cast<std::uint8_t>(id), payload, out);
 }
 
+/// Leaves room for a section header at the end of `out` and returns where
+/// the payload, appended next, starts; close_section() frames it in place,
+/// so no payload is built in a buffer of its own first.
+std::size_t open_section(std::vector<std::uint8_t>& out) {
+  out.resize(out.size() + kCheckpointSectionHeader);
+  return out.size();
+}
+
+void close_section(CheckpointSection id, std::size_t payload,
+                   std::vector<std::uint8_t>& out) {
+  const auto id_byte = static_cast<std::uint8_t>(id);
+  std::uint8_t* header = out.data() + payload - kCheckpointSectionHeader;
+  header[0] = id_byte;
+  put_u32le(static_cast<std::uint32_t>(out.size() - payload), header + 1);
+  put_u32le(frame_crc(id_byte, std::span(out).subspan(payload)), header + 5);
+}
+
 /// Slices the next section off `in`. False on truncation, oversized length,
 /// or CRC mismatch.
 bool get_section(std::span<const std::uint8_t>& in, std::uint8_t& id,
@@ -158,22 +175,22 @@ bool decode_anomalies(std::span<const std::uint8_t> in,
 void encode_checkpoint(const Checkpoint& c, std::vector<std::uint8_t>& out) {
   out.insert(out.end(), kCheckpointMagic,
              kCheckpointMagic + sizeof(kCheckpointMagic));
-  std::vector<std::uint8_t> meta;
-  put_varint(kCheckpointVersion, meta);
-  put_varint(c.sequence, meta);
-  put_varint(c.model_epoch, meta);
-  put_varint(zigzag(c.window), meta);
-  put_varint(c.threads, meta);
-  put_varint(c.ingested, meta);
-  put_varint(c.published, meta);
-  put_varint(c.acked, meta);
-  put_section(CheckpointSection::kMeta, meta, out);
+  std::size_t payload = open_section(out);
+  put_varint(kCheckpointVersion, out);
+  put_varint(c.sequence, out);
+  put_varint(c.model_epoch, out);
+  put_varint(zigzag(c.window), out);
+  put_varint(c.threads, out);
+  put_varint(c.ingested, out);
+  put_varint(c.published, out);
+  put_varint(c.acked, out);
+  close_section(CheckpointSection::kMeta, payload, out);
   put_section(CheckpointSection::kModel, c.model, out);
   put_section(CheckpointSection::kRegistry, c.registry, out);
   put_section(CheckpointSection::kAnalyzer, c.analyzer, out);
-  std::vector<std::uint8_t> anomalies;
-  encode_anomalies(c.anomalies, anomalies);
-  put_section(CheckpointSection::kAnomalies, anomalies, out);
+  payload = open_section(out);
+  encode_anomalies(c.anomalies, out);
+  close_section(CheckpointSection::kAnomalies, payload, out);
   put_section(CheckpointSection::kEnd, {}, out);
 }
 
@@ -237,12 +254,18 @@ std::optional<Checkpoint> decode_checkpoint(std::span<const std::uint8_t> in) {
   return c;
 }
 
-bool write_checkpoint_file(const std::string& path, const Checkpoint& c) {
+namespace {
+
+/// Writes `c` to `path` atomically (path + ".tmp", then rename), encoding
+/// into `bytes`, which it clears first. False on any I/O failure; the
+/// previous file at `path`, if any, is untouched then.
+bool write_checkpoint_file(const std::string& path, const Checkpoint& c,
+                           std::vector<std::uint8_t>& bytes) {
   auto& metrics = CheckpointMetrics::get();
   std::chrono::steady_clock::time_point begin;
   if constexpr (obs::kMetricsEnabled) begin = std::chrono::steady_clock::now();
 
-  std::vector<std::uint8_t> bytes;
+  bytes.clear();
   encode_checkpoint(c, bytes);
   const std::string tmp = path + ".tmp";
   {
@@ -280,6 +303,8 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& c) {
       static_cast<unsigned long long>(c.ingested));
   return true;
 }
+
+}  // namespace
 
 std::optional<Checkpoint> read_checkpoint_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
@@ -360,7 +385,7 @@ std::optional<Checkpoint> CheckpointDir::load_latest(
 }
 
 bool CheckpointDir::write(const Checkpoint& c, std::size_t keep) {
-  if (!write_checkpoint_file(path_for(c.sequence), c)) return false;
+  if (!write_checkpoint_file(path_for(c.sequence), c, bytes_)) return false;
   auto seqs = list_sequences(dir_);
   if (seqs.size() > keep) {
     auto& metrics = CheckpointMetrics::get();

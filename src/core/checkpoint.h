@@ -98,15 +98,12 @@ void encode_anomalies(std::span<const Anomaly> anomalies,
 bool decode_anomalies(std::span<const std::uint8_t> in,
                       std::vector<Anomaly>& out);
 
-/// Writes `c` to `path` atomically (path + ".tmp", then rename). False on
-/// any I/O failure; the previous file at `path`, if any, is untouched then.
-bool write_checkpoint_file(const std::string& path, const Checkpoint& c);
-
 /// Reads and strictly validates one checkpoint file.
 std::optional<Checkpoint> read_checkpoint_file(const std::string& path);
 
 /// A directory of `ckpt-<sequence>.saadckp` files with newest-valid
-/// fallback. Not thread-safe; one writer (serve's LiveAnalyzer) owns it.
+/// fallback. Not thread-safe; one writer (serve's LiveAnalyzer) owns it, so
+/// every write encodes into one buffer that keeps its capacity.
 class CheckpointDir {
  public:
   explicit CheckpointDir(std::string dir);
@@ -133,6 +130,7 @@ class CheckpointDir {
 
  private:
   std::string dir_;
+  std::vector<std::uint8_t> bytes_;  // write()'s encoding
 };
 
 }  // namespace saad::core

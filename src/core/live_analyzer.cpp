@@ -204,20 +204,26 @@ const OutlierModel* LiveAnalyzer::stage_model(
 
 Checkpoint LiveAnalyzer::capture() const {
   Checkpoint c;
+  capture_into(c);
+  return c;
+}
+
+void LiveAnalyzer::capture_into(Checkpoint& c) const {
   c.model_epoch = status_.model_epoch.load();
   c.window = options_.config.window;
   c.threads = 1;  // format field; the analyzer is serial
   c.ingested = ingested();
-  c.model = model_bytes_;
-  c.registry = registry_bytes_;
+  c.model.assign(model_bytes_.begin(), model_bytes_.end());
+  c.registry.assign(registry_bytes_.begin(), registry_bytes_.end());
+  c.analyzer.clear();
   detector_->save_state(c.analyzer);
-  c.anomalies = verdicts_;
-  return c;
+  c.anomalies.assign(verdicts_.begin(), verdicts_.end());
 }
 
 bool LiveAnalyzer::checkpoint(const char* why) {
   if (options_.checkpoints == nullptr) return false;
-  Checkpoint c = capture();
+  Checkpoint& c = checkpoint_;
+  capture_into(c);
   c.sequence = next_sequence_;
   c.acked = consumed_;
   c.published = options_.published ? options_.published() : consumed_;

@@ -103,7 +103,17 @@ class LiveAnalyzer {
 
   /// A checkpoint but for the sequence and watermarks checkpoint() adds.
   Checkpoint capture() const;
+  /// Captures into the engine's own Checkpoint, whose buffers keep their
+  /// capacity from one call to the next, and writes it.
   bool checkpoint(const char* why);  // false: no directory or write failed
+
+  /// The synopsis end time whose ingest closes the next window: the close
+  /// rule fires once the watermark reaches it, and the watermark is always
+  /// below it between ingest() calls, on a fresh engine and after resume()
+  /// alike. `serve` blocks on its channel until a synopsis ending there is
+  /// queued (SynopsisChannel::wait_for), so a window's verdicts come out as
+  /// soon as the stream has passed its close point.
+  UsTime next_close_at() const { return close_at_; }
 
   const std::vector<Anomaly>& verdicts() const { return verdicts_; }
   std::uint64_t ingested() const { return status_.ingested.load(); }
@@ -115,6 +125,8 @@ class LiveAnalyzer {
   bool close_ready_windows();
   /// Applies a staged model, then takes a close's verdicts.
   void absorb(std::vector<Anomaly> closed);
+  /// capture() into `c`, reusing its buffers.
+  void capture_into(Checkpoint& c) const;
   void print_window(std::size_t w);
 
   Options options_;
@@ -126,6 +138,7 @@ class LiveAnalyzer {
   std::vector<std::uint8_t> registry_bytes_;
   std::unique_ptr<AnomalyDetector> detector_;  // resume() rebuilds it
   std::vector<Anomaly> verdicts_;
+  Checkpoint checkpoint_;       // what checkpoint() writes
   std::uint64_t consumed_ = 0;  // synopses ingested by this engine
   std::uint64_t next_sequence_ = 1;
   UsTime watermark_ = 0;         // newest synopsis end time

@@ -151,6 +151,7 @@ struct SynopsisServer::Impl {
   std::deque<PendingBatch> pending;  // decoded, unpublished
   std::vector<core::SynopsisBatch> spare;  // cleared, at most kSpareBatches
   std::vector<std::uint8_t> recv_buf;
+  Frame frame;  // every connection pops its frames into this one
   std::optional<core::SynopsisChannel::Producer> producer;
 
   // stats() is cross-thread; the I/O thread updates these relaxed.
@@ -355,7 +356,7 @@ void SynopsisServer::io_loop() {
   // Handles every completed frame on a connection. Returns false when the
   // connection must be dropped (protocol violation or goodbye).
   auto handle_frames = [&](Connection& conn) -> bool {
-    Frame frame;
+    Frame& frame = im.frame;
     while (conn.decoder.next(frame)) {
       if (!conn.got_hello && frame.type != FrameType::kHello) {
         count_reject(WireError::kNotHello);

@@ -97,9 +97,10 @@ FrameDecoder::FrameDecoder(bool expect_magic) : magic_pending_(expect_magic) {}
 
 bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
   if (failed()) return false;
+  discard_popped();
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 
-  std::size_t pos = 0;
+  std::size_t pos = sliced_;
   if (magic_pending_) {
     const std::size_t have = std::min(buffer_.size(), sizeof kStreamMagic);
     // An empty buffer has a null data(): UB to memcmp from, even for 0 bytes.
@@ -128,33 +129,44 @@ bool FrameDecoder::feed(std::span<const std::uint8_t> data) {
       break;
     }
     if (buffer_.size() - pos - kFrameHeaderBytes < len) break;  // partial
-    Frame frame;
-    frame.type = static_cast<FrameType>(header.id);
-    frame.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                               pos + kFrameHeaderBytes),
-                         buffer_.begin() + static_cast<std::ptrdiff_t>(
-                                               pos + kFrameHeaderBytes + len));
-    if (core::frame_crc(header.id, frame.payload) != header.crc) {
+    const std::size_t payload = pos + kFrameHeaderBytes;
+    if (core::frame_crc(header.id, std::span(buffer_).subspan(payload, len)) !=
+        header.crc) {
       error_ = WireError::kBadCrc;
       break;
     }
-    ready_.push_back(std::move(frame));
-    pos += kFrameHeaderBytes + len;
+    ready_.push_back({static_cast<FrameType>(header.id), payload, len});
+    pos = payload + len;
   }
+  sliced_ = pos;
 
   if (failed()) {
-    buffer_.clear();
+    buffer_.resize(sliced_);  // the completed frames stay poppable
     return false;
   }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
   return true;
 }
 
 bool FrameDecoder::next(Frame& out) {
-  if (ready_.empty()) return false;
-  out = std::move(ready_.front());
-  ready_.pop_front();
+  if (popped_ == ready_.size()) return false;
+  const Slice& frame = ready_[popped_++];
+  const std::uint8_t* payload = buffer_.data() + frame.offset;
+  out.type = frame.type;
+  out.payload.assign(payload, payload + frame.size);
   return true;
+}
+
+void FrameDecoder::discard_popped() {
+  const std::size_t keep =
+      popped_ < ready_.size() ? ready_[popped_].offset : sliced_;
+  if (keep == 0) return;
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(keep));
+  sliced_ -= keep;
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(popped_));
+  popped_ = 0;
+  for (Slice& frame : ready_) frame.offset -= keep;
 }
 
 void register_net_metrics() {

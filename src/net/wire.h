@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -119,6 +118,12 @@ const char* to_string(WireError error);
 /// connection. Frames that completed *before* the damage stay poppable:
 /// they were validly framed and CRC-checked, and the server has typically
 /// already acted on them.
+///
+/// A completed frame stays in the reassembly buffer as (type, offset,
+/// length) until next() copies its payload into the caller's Frame, whose
+/// capacity it reuses; the next feed() drops the bytes of popped frames.
+/// So a caller that pops into one Frame makes no allocation per frame once
+/// the buffers have grown.
 class FrameDecoder {
  public:
   /// expect_magic: require the "SAADNET1" prologue (the server side).
@@ -136,16 +141,28 @@ class FrameDecoder {
 
   /// True while the buffer holds a partial prologue/header/frame — a
   /// disconnect now is a mid-frame truncation.
-  bool mid_frame() const { return !failed() && !buffer_.empty(); }
+  bool mid_frame() const { return !failed() && buffered_bytes() > 0; }
 
-  /// Bytes currently buffered (bounded by one frame + one header).
-  std::size_t buffered_bytes() const { return buffer_.size(); }
+  /// Bytes buffered towards a frame not yet complete (bounded by one frame
+  /// + one header).
+  std::size_t buffered_bytes() const { return buffer_.size() - sliced_; }
 
  private:
+  struct Slice {
+    FrameType type;
+    std::size_t offset;  // of the payload in buffer_
+    std::uint32_t size;
+  };
+
+  /// Drops popped frames and their bytes from the front of the buffer.
+  void discard_popped();
+
   bool magic_pending_;
   WireError error_ = WireError::kNone;
   std::vector<std::uint8_t> buffer_;
-  std::deque<Frame> ready_;
+  std::size_t sliced_ = 0;  // bytes of buffer_ checked: prologue and frames
+  std::vector<Slice> ready_;
+  std::size_t popped_ = 0;  // leading entries of ready_ next() handed out
 };
 
 /// Registers every saad_net_* and saad_http_* metric family in the global

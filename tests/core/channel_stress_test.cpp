@@ -3,7 +3,9 @@
 // cranked up under -fsanitize=thread without slowing the plain unit suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -182,6 +184,66 @@ TEST(ChannelStress, BatchDrainAgainstBatchAndDirectProducers) {
     uids.insert(s.uid);
   }
   EXPECT_EQ(uids.size(), total);
+}
+
+TEST(ChannelStress, WaitForMissesNoCrossingPush) {
+  // One producer pushes synopses that end at 1, 2, 3, ..., through direct
+  // push(), a Producer flush and Producer::push(batch) in turn. The consumer
+  // drains, then waits for the next end time; it announces that time first,
+  // and the producer pushes the synopsis that crosses it right then, so the
+  // push races the wait's setup. Every wait has its crossing push, so a
+  // wait that runs out its 10 s lost a wake (it may still return true: it
+  // looks at the shards once more at the timeout).
+  constexpr UsTime kRounds = 50000;
+  constexpr std::chrono::seconds kTimeout(10);
+  SynopsisChannel channel;
+  std::atomic<UsTime> announced{0};
+  std::atomic<bool> stop{false};
+  std::thread producer_thread([&] {
+    auto producer = channel.producer();
+    SynopsisBatch batch;
+    for (UsTime end = 1; end <= kRounds; ++end) {
+      while (announced.load(std::memory_order_acquire) < end)
+        if (stop.load(std::memory_order_relaxed)) return;
+      const Synopsis s = sample(0, static_cast<TaskUid>(end));  // ends at uid
+      switch (end % 3) {
+        case 0:
+          channel.push(s);
+          break;
+        case 1:
+          producer.push(s);
+          producer.flush();
+          break;
+        default:
+          batch.clear();
+          batch.append(s);
+          producer.push(batch);
+          break;
+      }
+    }
+  });
+  UsTime seen = 0;
+  std::uint64_t drained = 0, lost = 0;
+  SynopsisBatch out;
+  while (seen < kRounds) {
+    out.clear();
+    channel.drain(out);
+    drained += out.size();
+    for (const SynopsisView s : out) seen = std::max(seen, s.start + s.duration);
+    if (seen == kRounds) break;
+    announced.store(seen + 1, std::memory_order_release);
+    const auto begin = std::chrono::steady_clock::now();
+    if (!channel.wait_for(seen + 1, kTimeout) ||
+        std::chrono::steady_clock::now() - begin >= kTimeout) {
+      ++lost;
+      break;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  producer_thread.join();
+  EXPECT_EQ(lost, 0u) << "waiting for end time " << seen + 1;
+  EXPECT_EQ(seen, kRounds);
+  EXPECT_EQ(drained, static_cast<std::uint64_t>(kRounds));
 }
 
 }  // namespace

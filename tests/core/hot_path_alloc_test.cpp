@@ -1,11 +1,11 @@
 // Steady-state allocation pins for the hot paths: reading a trace block by
 // block, ingesting into an open window, crossing window closes that raise no
 // verdict, a tracked task on a thread that has run one before, and the two
-// ways a synopsis reaches the analyzer in flight — a wire frame through the
-// server's decode, publish, drain and ingest, and a tracked task through
-// the channel's direct push and drain — must not touch the heap once the
-// buffers and tallies exist. This binary replaces the global operator new
-// to count calls, so it is its own test executable.
+// ways a synopsis reaches the analyzer in flight — received bytes through
+// the server's frame reassembly, decode, publish, drain and ingest, and a
+// tracked task through the channel's direct push and drain — must not touch
+// the heap once the buffers and tallies exist. This binary replaces the
+// global operator new to count calls, so it is its own test executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -229,11 +229,12 @@ TEST(HotPathAllocations, ThreadLocalTaskAfterTheFirst) {
 }
 
 TEST(HotPathAllocations, ServePathAfterWarmup) {
-  // serve's path for one frame, minus the socket: decode the payload into a
-  // batch, publish it whole, drain, ingest. One 60 s window holds the whole
-  // 8.4 s stream, so nothing closes. The model is trained at the stream's
-  // rates, so it knows every signature: the detector materializes the
-  // signatures a model lacks, which is not this path's cost.
+  // serve's path minus the socket: feed received bytes to the frame decoder
+  // in recv()-sized chunks, pop each frame, decode its payload into a batch,
+  // publish it whole, drain, ingest. One 60 s window holds the whole 8.4 s
+  // stream, so nothing closes. The model is trained at the stream's rates,
+  // so it knows every signature: the detector materializes the signatures a
+  // model lacks, which is not this path's cost.
   std::vector<std::uint8_t> model_bytes;
   OutlierModel::train(testutil::make_trace(11, 20000, 0.05, 0.08))
       .save(model_bytes);
@@ -244,34 +245,50 @@ TEST(HotPathAllocations, ServePathAfterWarmup) {
   LiveAnalyzer engine(std::move(*model), model_bytes, std::move(options));
 
   const auto stream = testutil::make_trace(12, 12000, 0.05, 0.08);
-  std::vector<std::vector<std::uint8_t>> payloads;
-  for (std::size_t i = 0; i < stream.size(); i += 256) {
+  std::vector<std::uint8_t> received, payload;  // frames back to back
+  std::size_t frames = 0;
+  for (std::size_t i = 0; i < stream.size(); i += 256, ++frames) {
+    payload.clear();
     net::encode_batch(std::span(stream).subspan(
                           i, std::min<std::size_t>(256, stream.size() - i)),
-                      payloads.emplace_back());
+                      payload);
+    net::encode_frame(net::FrameType::kBatch, payload, received);
   }
+  constexpr std::size_t kRecv = 64 * 1024;  // the server's recv() size
+  ASSERT_GT(received.size(), 2 * kRecv);    // frames straddle chunks
+  net::FrameDecoder decoder(/*expect_magic=*/false);
+  net::Frame frame;
   SynopsisChannel channel;
   auto producer = channel.producer();
   SynopsisBatch decoded, drained;
+  std::size_t popped = 0;
   const auto pass = [&] {
-    for (const auto& payload : payloads) {
-      decoded.clear();
-      ASSERT_TRUE(net::decode_batch(payload, decoded));
-      producer.push(decoded);
-      drained.clear();
-      channel.drain(drained);
-      engine.ingest(drained);
+    for (std::size_t at = 0; at < received.size(); at += kRecv) {
+      ASSERT_TRUE(decoder.feed(std::span(received).subspan(
+          at, std::min(kRecv, received.size() - at))));
+      while (decoder.next(frame)) {
+        ++popped;
+        decoded.clear();
+        ASSERT_TRUE(net::decode_batch(frame.payload, decoded));
+        producer.push(decoded);
+        drained.clear();
+        channel.drain(drained);
+        engine.ingest(drained);
+      }
     }
   };
-  // Warm-up sizes the batches and tallies every key and signature. The
-  // shard and the consumer swap storage at each drain, and the frames are
-  // odd in number, so each of the two storages has held every frame only
-  // after two passes.
+  // Warm-up sizes the buffers and tallies every key and signature. Each
+  // pass cuts the bytes at the same points, so the decoder's buffer has
+  // held its largest chunk after one. The shard and the consumer swap
+  // storage at each drain, and the frames are odd in number, so each of the
+  // two storages has held every frame only after two passes.
   pass();
   pass();
   const std::uint64_t before = g_allocations.load();
   pass();
   EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(popped, 3 * frames);
+  EXPECT_FALSE(decoder.mid_frame());
   EXPECT_EQ(engine.ingested(), 3 * stream.size());
   EXPECT_EQ(engine.status().close_barriers.load(), 0u);
 }

@@ -14,7 +14,9 @@
 //    every window until finish();
 //  * the close rule runs after every synopsis, so a synopsis that arrives
 //    more than two windows late lands in the same window whether the stream
-//    comes one synopsis, 64 or all at once per ingest() call.
+//    comes one synopsis, 64 or all at once per ingest() call;
+//  * next_close_at() is the end time whose ingest closes the next window,
+//    on a fresh engine and after a resume (serve waits on it).
 #include "core/live_analyzer.h"
 
 #include <gtest/gtest.h>
@@ -309,6 +311,40 @@ TEST_F(LiveAnalyzerTest, VerdictsDoNotDependOnBatchBoundaries) {
   EXPECT_EQ(dump(verdicts_in_batches_of(kBatch)), dump(one_at_a_time));
   EXPECT_EQ(dump(verdicts_in_batches_of(late_stream.size())),
             dump(one_at_a_time));
+}
+
+TEST_F(LiveAnalyzerTest, NextCloseAtIsTheEndThatClosesTheNextWindow) {
+  // A synopsis that ends a microsecond before next_close_at() closes
+  // nothing; the same synopsis a microsecond later closes the next window.
+  const auto closes_exactly_there = [](LiveAnalyzer& engine) {
+    const UsTime close_at = engine.next_close_at();
+    const std::uint64_t closes = engine.status().close_barriers.load();
+    Synopsis s;
+    s.stage = 1;
+    s.duration = ms(3);
+    s.start = close_at - 1 - s.duration;
+    engine.ingest(std::span(&s, 1));
+    EXPECT_EQ(engine.status().close_barriers.load(), closes);
+    EXPECT_EQ(engine.next_close_at(), close_at);
+    ++s.start;
+    engine.ingest(std::span(&s, 1));
+    EXPECT_EQ(engine.status().close_barriers.load(), closes + 1);
+    EXPECT_GT(engine.next_close_at(), close_at);
+  };
+  auto fresh = make_engine(model_a, nullptr);
+  EXPECT_EQ(fresh->next_close_at(), sec(3));  // window 0 ends 2 windows back
+  closes_exactly_there(*fresh);
+
+  auto golden = make_engine(model_a, nullptr);
+  for (std::size_t i = 0; i < stream.size() / 2;)
+    i = ingest_through_close(*golden, i);
+  const auto decoded = decode_checkpoint(encode(golden->capture()));
+  ASSERT_TRUE(decoded.has_value());
+  auto resumed = make_engine(model_b, nullptr);
+  ASSERT_EQ(resumed->resume(*decoded), nullptr);
+  EXPECT_GT(resumed->next_close_at(), sec(3));
+  EXPECT_EQ(resumed->next_close_at(), golden->next_close_at());
+  closes_exactly_there(*resumed);
 }
 
 TEST_F(LiveAnalyzerTest, CheckpointThatDoesNotFitIsRefused) {

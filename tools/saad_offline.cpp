@@ -466,6 +466,11 @@ int cmd_detect(const Args& args) {
   return rc;
 }
 
+// The longest `serve`'s consumer waits between drains when no window is due
+// to close. It bounds the backlog a drain takes, and how soon an idle
+// consumer notices --once's end of session, a SIGHUP or a SIGTERM.
+constexpr std::chrono::milliseconds kDrainGap{5};
+
 // SIGINT/SIGTERM ask a long-lived `serve` to finish windows and report.
 volatile std::sig_atomic_t g_stop_requested = 0;
 void on_stop_signal(int) { g_stop_requested = 1; }
@@ -748,7 +753,10 @@ int cmd_serve(const Args& args) {
         checkpointed_sessions = server.sessions_finished();
         engine->checkpoint("session end");
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      // Sleep until a synopsis that closes the next window is queued, so
+      // its verdicts come out as soon as they are due, but drain at least
+      // every kDrainGap so the backlog stays short.
+      channel.wait_for(engine->next_close_at(), kDrainGap);
       continue;
     }
     engine->ingest(batch);
@@ -800,7 +808,10 @@ int cmd_serve(const Args& args) {
 
 // Streams a recorded trace into a running `serve` through the reconnecting
 // client shim, at recorded (--pace=recorded, optionally --speed=N times
-// faster) or maximum (--pace=fast) pacing.
+// faster) or maximum (--pace=fast) pacing. Recorded pacing sends each
+// synopsis at its start time on one schedule from the first, so the tens of
+// microseconds that each short sleep overshoots are made up by the synopses
+// after it instead of adding up.
 int cmd_replay(const Args& args) {
   const auto colon = args.connect.rfind(':');
   if (args.connect.empty() || colon == std::string::npos) {
@@ -847,24 +858,29 @@ int cmd_replay(const Args& args) {
 
   const long long speed = args.speed;
   core::Synopsis s;
-  UsTime prev = -1;
+  UsTime first = -1;  // start time of the first synopsis streamed
+  std::chrono::steady_clock::time_point first_sent;
   long long to_skip = args.skip;
   std::size_t streamed = 0;
   while (reader.next(s)) {
     // --skip/--limit carve a synopsis range out of the trace, for staged
-    // runs (a crash-restart test streams [0, N) then resumes at N). Pacing
-    // gaps are measured inside the range only.
+    // runs (a crash-restart test streams [0, N) then resumes at N). The
+    // pacing schedule starts at the range's first synopsis.
     if (to_skip > 0) {
       --to_skip;
       continue;
     }
     if (args.limit >= 0 && streamed >= static_cast<std::size_t>(args.limit))
       break;
-    if (args.pace == "recorded" && prev >= 0 && s.start > prev) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds((s.start - prev) / speed));
+    if (args.pace == "recorded") {
+      if (first < 0) {
+        first = s.start;
+        first_sent = std::chrono::steady_clock::now();
+      } else if (s.start > first) {
+        std::this_thread::sleep_until(
+            first_sent + std::chrono::microseconds((s.start - first) / speed));
+      }
     }
-    prev = s.start;
     client.enqueue(s);
     ++streamed;
     if (client.spool_size() >= options.batch_synopses)
