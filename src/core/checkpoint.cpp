@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "core/telemetry.h"
 #include "core/varint.h"
@@ -36,11 +40,11 @@ struct CheckpointMetrics {
   CheckpointMetrics()
       : writes(obs::MetricsRegistry::global().counter(
             "saad_checkpoint_writes_total",
-            "Checkpoint files written (temp + rename completed).")),
+            "Checkpoint files written (temp + fsync + rename completed).")),
         write_errors(obs::MetricsRegistry::global().counter(
             "saad_checkpoint_write_errors_total",
-            "Checkpoint writes that failed before the rename (previous "
-            "checkpoint left untouched).")),
+            "Checkpoint writes that failed: before the rename (previous "
+            "checkpoint left untouched) or at the directory fsync.")),
         written_bytes(obs::MetricsRegistry::global().counter(
             "saad_checkpoint_written_bytes_total",
             "Bytes of encoded checkpoints written.")),
@@ -59,8 +63,8 @@ struct CheckpointMetrics {
             "Sequence number of the most recently written checkpoint.")),
         write_us(obs::MetricsRegistry::global().histogram(
             "saad_checkpoint_write_us",
-            "Latency of one checkpoint write (encode + write + rename), "
-            "microseconds.",
+            "Latency of one checkpoint write (encode, write, fsync, rename "
+            "and directory fsync), microseconds.",
             obs::latency_bounds_us())) {}
 
   static CheckpointMetrics& get() {
@@ -256,10 +260,37 @@ std::optional<Checkpoint> decode_checkpoint(std::span<const std::uint8_t> in) {
 
 namespace {
 
-/// Writes `c` to `path` atomically (path + ".tmp", then rename), encoding
-/// into `bytes`, which it clears first. False on any I/O failure; the
-/// previous file at `path`, if any, is untouched then.
-bool write_checkpoint_file(const std::string& path, const Checkpoint& c,
+/// Creates or truncates `path`, writes all of `bytes` and fsyncs the file.
+bool write_synced(const std::string& path,
+                  std::span<const std::uint8_t> bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return false;
+  bool ok = true;
+  while (ok && !bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    ok = n > 0;
+    if (ok) bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+  ok = ok && ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+/// fsyncs directory `dir`, so that a rename into it outlives a power loss.
+bool sync_directory(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && ok;
+}
+
+/// Writes `c` to `path` in directory `dir` durably: path + ".tmp", fsync,
+/// rename, fsync of `dir`. Encodes into `bytes`, which it clears first.
+/// False on any I/O failure; the previous file at `path`, if any, is
+/// untouched then unless only the directory fsync failed.
+bool write_checkpoint_file(const std::string& dir, const std::string& path,
+                           const Checkpoint& c,
                            std::vector<std::uint8_t>& bytes) {
   auto& metrics = CheckpointMetrics::get();
   std::chrono::steady_clock::time_point begin;
@@ -268,23 +299,20 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& c,
   bytes.clear();
   encode_checkpoint(c, bytes);
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    file.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-    file.flush();
-    if (!file) {
-      metrics.write_errors.inc();
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
   std::error_code ec;
+  if (!write_synced(tmp, bytes)) {
+    metrics.write_errors.inc();
+    fs::remove(tmp, ec);
+    return false;
+  }
   fs::rename(tmp, path, ec);
   if (ec) {
     metrics.write_errors.inc();
     fs::remove(tmp, ec);
+    return false;
+  }
+  if (!sync_directory(dir)) {
+    metrics.write_errors.inc();
     return false;
   }
   if constexpr (obs::kMetricsEnabled) {
@@ -312,21 +340,6 @@ std::optional<Checkpoint> read_checkpoint_file(const std::string& path) {
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(file)),
                                   std::istreambuf_iterator<char>());
   return decode_checkpoint(bytes);
-}
-
-CheckpointDir::CheckpointDir(std::string dir) : dir_(std::move(dir)) {}
-
-bool CheckpointDir::ensure() {
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  return !ec && fs::is_directory(dir_, ec);
-}
-
-std::string CheckpointDir::path_for(std::uint64_t sequence) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%012llu%s", kFilePrefix,
-                static_cast<unsigned long long>(sequence), kFileSuffix);
-  return (fs::path(dir_) / name).string();
 }
 
 namespace {
@@ -358,17 +371,32 @@ std::vector<std::uint64_t> list_sequences(const std::string& dir) {
 
 }  // namespace
 
+CheckpointDir::CheckpointDir(std::string dir)
+    : dir_(std::move(dir)), sequences_(list_sequences(dir_)) {}
+
+bool CheckpointDir::ensure() {
+  std::error_code ec;
+  fs::create_directories(dir_, ec);
+  return !ec && fs::is_directory(dir_, ec);
+}
+
+std::string CheckpointDir::path_for(std::uint64_t sequence) const {
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s%012llu%s", kFilePrefix,
+                static_cast<unsigned long long>(sequence), kFileSuffix);
+  return (fs::path(dir_) / name).string();
+}
+
+
 std::uint64_t CheckpointDir::max_sequence() const {
-  const auto seqs = list_sequences(dir_);
-  return seqs.empty() ? 0 : seqs.back();
+  return sequences_.empty() ? 0 : sequences_.back();
 }
 
 std::optional<Checkpoint> CheckpointDir::load_latest(
     std::size_t* corrupt_skipped) const {
   if (corrupt_skipped != nullptr) *corrupt_skipped = 0;
-  auto seqs = list_sequences(dir_);
   auto& metrics = CheckpointMetrics::get();
-  for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
+  for (auto it = sequences_.rbegin(); it != sequences_.rend(); ++it) {
     const std::string path = path_for(*it);
     if (auto c = read_checkpoint_file(path)) {
       metrics.restores.inc();
@@ -385,14 +413,21 @@ std::optional<Checkpoint> CheckpointDir::load_latest(
 }
 
 bool CheckpointDir::write(const Checkpoint& c, std::size_t keep) {
-  if (!write_checkpoint_file(path_for(c.sequence), c, bytes_)) return false;
-  auto seqs = list_sequences(dir_);
-  if (seqs.size() > keep) {
+  if (!write_checkpoint_file(dir_, path_for(c.sequence), c, bytes_))
+    return false;
+  const auto at =
+      std::lower_bound(sequences_.begin(), sequences_.end(), c.sequence);
+  if (at == sequences_.end() || *at != c.sequence)
+    sequences_.insert(at, c.sequence);
+  if (sequences_.size() > keep) {
     auto& metrics = CheckpointMetrics::get();
-    for (std::size_t i = 0; i + keep < seqs.size(); ++i) {
+    const std::size_t drop = sequences_.size() - keep;
+    for (std::size_t i = 0; i < drop; ++i) {
       std::error_code ec;
-      if (fs::remove(path_for(seqs[i]), ec)) metrics.pruned.inc();
+      if (fs::remove(path_for(sequences_[i]), ec)) metrics.pruned.inc();
     }
+    sequences_.erase(sequences_.begin(),
+                     sequences_.begin() + static_cast<std::ptrdiff_t>(drop));
   }
   return true;
 }

@@ -35,9 +35,10 @@
 // then falls back to the next-newest file, loudly, counting every rejected
 // candidate in saad_checkpoint_corrupt_total.
 //
-// Write discipline is trace_io's: stream to `path + ".tmp"`, rename onto
-// `path` only once complete, so a crash mid-write leaves the previous
-// checkpoint untouched and at most a stale .tmp behind.
+// Write discipline: write `path + ".tmp"`, fsync it, rename it onto `path`,
+// fsync the directory. A crash mid-write leaves the previous checkpoint
+// untouched and at most a stale .tmp behind, and a checkpoint that write()
+// reported written survives a power loss.
 #pragma once
 
 #include <cstdint>
@@ -103,9 +104,13 @@ std::optional<Checkpoint> read_checkpoint_file(const std::string& path);
 
 /// A directory of `ckpt-<sequence>.saadckp` files with newest-valid
 /// fallback. Not thread-safe; one writer (serve's LiveAnalyzer) owns it, so
-/// every write encodes into one buffer that keeps its capacity.
+/// every write encodes into one buffer that keeps its capacity, and the
+/// sequences present are listed once, when the directory is opened, and then
+/// tracked in memory: no other process may add files while it is open.
 class CheckpointDir {
  public:
+  /// Opens `dir` and lists the checkpoints already there (none when it does
+  /// not exist yet).
   explicit CheckpointDir(std::string dir);
 
   /// Creates the directory when missing. False when it cannot be used.
@@ -124,13 +129,14 @@ class CheckpointDir {
   std::optional<Checkpoint> load_latest(
       std::size_t* corrupt_skipped = nullptr) const;
 
-  /// Atomically writes `c` at path_for(c.sequence), then prunes older
-  /// checkpoints down to `keep` files. False on write failure.
+  /// Atomically and durably writes `c` at path_for(c.sequence), then prunes
+  /// the oldest checkpoints down to `keep` files. False on write failure.
   bool write(const Checkpoint& c, std::size_t keep = 4);
 
  private:
   std::string dir_;
-  std::vector<std::uint8_t> bytes_;  // write()'s encoding
+  std::vector<std::uint64_t> sequences_;  // files present, ascending
+  std::vector<std::uint8_t> bytes_;       // write()'s encoding
 };
 
 }  // namespace saad::core

@@ -37,16 +37,6 @@ std::string Signature::to_string() const {
   return out;
 }
 
-std::size_t SignatureHash::operator()(const Signature& s) const noexcept {
-  // FNV-1a over the point ids.
-  std::size_t h = 1469598103934665603ull;
-  for (LogPointId p : s.points()) {
-    h ^= p;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void put_signature(const Signature& sig, std::vector<std::uint8_t>& out) {
   put_varint(sig.points().size(), out);
   LogPointId prev = 0;

@@ -42,10 +42,6 @@ class Signature {
   std::vector<LogPointId> points_;
 };
 
-struct SignatureHash {
-  std::size_t operator()(const Signature& s) const noexcept;
-};
-
 /// Signature codec shared by model files, detector state and checkpoints:
 /// varint point count, then the sorted points delta-encoded as varints.
 void put_signature(const Signature& sig, std::vector<std::uint8_t>& out);

@@ -25,6 +25,25 @@ std::uint32_t hash_points(std::size_t n, PointAt at) {
   return h;
 }
 
+/// The open-addressing probe of SignatureTable and ModelTrainer: the slot of
+/// `slots` (a power of two, not full) that holds the id whose point list
+/// `points_of(id)` equals the list of length `n` whose i-th point is
+/// `at(i)`, or else the empty slot where that list belongs.
+template <typename PointsOf, typename PointAt>
+std::size_t probe_slot(const std::vector<SignatureId>& slots,
+                       PointsOf points_of, std::size_t n, PointAt at) {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t slot = hash_points(n, at) & mask;; slot = (slot + 1) & mask) {
+    const SignatureId id = slots[slot];
+    if (id == kNoSignature) return slot;
+    const auto& points = points_of(id);
+    if (points.size() != n) continue;
+    std::size_t i = 0;
+    while (i < n && points[i] == at(i)) ++i;
+    if (i == n) return slot;
+  }
+}
+
 }  // namespace
 
 SignatureTable::SignatureTable(std::vector<Entry> entries)
@@ -53,16 +72,10 @@ SignatureTable::SignatureTable(std::vector<Entry> entries)
 template <typename PointAt>
 SignatureId SignatureTable::probe(std::size_t n, PointAt at) const {
   if (slots_.empty()) return kNoSignature;
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t slot = hash_points(n, at) & mask;; slot = (slot + 1) & mask) {
-    const SignatureId id = slots_[slot];
-    if (id == kNoSignature) return kNoSignature;
-    const auto& points = entries_[id].first.points();
-    if (points.size() != n) continue;
-    std::size_t i = 0;
-    while (i < n && points[i] == at(i)) ++i;
-    if (i == n) return id;
-  }
+  const auto points_of = [&](SignatureId id) -> const auto& {
+    return entries_[id].first.points();
+  };
+  return slots_[probe_slot(slots_, points_of, n, at)];
 }
 
 SignatureId SignatureTable::find(const Signature& signature) const {
@@ -79,34 +92,93 @@ SignatureId SignatureTable::find(std::span<const LogPointCount> points) const {
 
 OutlierModel OutlierModel::train(std::span<const Synopsis> trace,
                                  const TrainingConfig& config) {
+  ModelTrainer trainer;
+  for (const Synopsis& synopsis : trace) trainer.add(synopsis);
+  return trainer.finish(config);
+}
+
+ModelTrainer::Stage& ModelTrainer::stage(StageId id) {
+  if (id >= stage_index_.size()) stage_index_.resize(id + std::size_t{1}, 0);
+  std::uint32_t& index = stage_index_[id];
+  if (index == 0) {
+    stages_.push_back({});
+    stages_.back().id = id;
+    index = static_cast<std::uint32_t>(stages_.size());
+  }
+  return stages_[index - 1];
+}
+
+template <typename PointAt>
+ModelTrainer::Group& ModelTrainer::intern(Stage& stage, std::size_t n,
+                                          PointAt at) {
+  const auto points_of = [&](SignatureId id) -> const auto& {
+    return stage.groups[id].signature.points();
+  };
+  if (!stage.slots.empty()) {
+    const SignatureId id = stage.slots[probe_slot(stage.slots, points_of, n, at)];
+    if (id != kNoSignature) return stage.groups[id];
+  }
+  // A new signature. Keep the table at most half full, as SignatureTable's.
+  if (2 * (stage.groups.size() + 1) > stage.slots.size()) {
+    stage.slots.assign(std::max<std::size_t>(8, 2 * stage.slots.size()),
+                       kNoSignature);
+    for (SignatureId id = 0; id < stage.groups.size(); ++id) {
+      const auto& points = points_of(id);
+      stage.slots[probe_slot(stage.slots, points_of, points.size(),
+                             [&](std::size_t i) { return points[i]; })] = id;
+    }
+  }
+  std::vector<LogPointId> points(n);
+  for (std::size_t i = 0; i < n; ++i) points[i] = at(i);
+  stage.slots[probe_slot(stage.slots, points_of, n, at)] =
+      static_cast<SignatureId>(stage.groups.size());
+  stage.groups.push_back({Signature(std::move(points)), {}});
+  return stage.groups.back();
+}
+
+void ModelTrainer::add(SynopsisView synopsis) {
+  Stage& st = stage(synopsis.stage);
+  const auto points = synopsis.log_points;
+  std::size_t i = 1;
+  while (i < points.size() && points[i - 1].point < points[i].point) ++i;
+  Group* group = nullptr;
+  if (i >= points.size()) {
+    group = &intern(st, points.size(),
+                    [&](std::size_t k) { return points[k].point; });
+  } else {
+    // Unsorted or repeated points: Signature::from's sort-and-dedupe.
+    canonical_.clear();
+    for (const auto& lp : points) canonical_.push_back(lp.point);
+    std::sort(canonical_.begin(), canonical_.end());
+    canonical_.erase(std::unique(canonical_.begin(), canonical_.end()),
+                     canonical_.end());
+    group = &intern(st, canonical_.size(),
+                    [&](std::size_t k) { return canonical_[k]; });
+  }
+  group->durations.push_back(static_cast<double>(synopsis.duration));
+}
+
+void ModelTrainer::add(const SynopsisBatch& batch) {
+  for (const SynopsisView synopsis : batch) add(synopsis);
+}
+
+OutlierModel ModelTrainer::finish(const TrainingConfig& config) const {
   OutlierModel model;
   model.config_ = config;
-
-  // Pass 1: group durations per (stage, signature).
-  struct Group {
-    std::vector<double> durations;
-  };
-  std::unordered_map<StageId,
-                     std::unordered_map<Signature, Group, SignatureHash>>
-      groups;
-  for (const auto& synopsis : trace) {
-    const Feature f = make_feature(synopsis);
-    groups[f.stage][f.signature].durations.push_back(
-        static_cast<double>(f.duration));
-  }
-
-  for (auto& [stage_id, sig_groups] : groups) {
+  std::vector<double> scratch;  // every selection's working copy
+  for (const Stage& stage : stages_) {
     StageModel sm;
-    sm.stage = stage_id;
-    for (const auto& [sig, group] : sig_groups)
+    sm.stage = stage.id;
+    for (const Group& group : stage.groups)
       sm.task_count += group.durations.size();
 
     std::uint64_t flow_outlier_tasks = 0;
     std::vector<SignatureTable::Entry> entries;
-    entries.reserve(sig_groups.size());
-    for (auto& [sig, group] : sig_groups) {
+    entries.reserve(stage.groups.size());
+    for (const Group& group : stage.groups) {
+      const auto& durations = group.durations;
       SignatureStats ss;
-      ss.task_count = group.durations.size();
+      ss.task_count = durations.size();
       ss.share = static_cast<double>(ss.task_count) /
                  static_cast<double>(sm.task_count);
       ss.flow_outlier = ss.share < config.flow_share_threshold;
@@ -114,36 +186,29 @@ OutlierModel OutlierModel::train(std::span<const Synopsis> trace,
 
       // Performance threshold: quantile of training durations, gated by
       // sample size and the cross-validated stability filter.
-      if (ss.task_count >= config.min_signature_samples &&
-          !group.durations.empty()) {
-        std::vector<double> sorted = group.durations;
-        std::sort(sorted.begin(), sorted.end());
+      if (ss.task_count >= config.min_signature_samples) {
+        scratch.assign(durations.begin(), durations.end());
         const double threshold =
-            stats::percentile_sorted(sorted, config.duration_quantile);
-        // percentile_sorted returns NaN for an empty sample (ruled out
-        // above, but a NaN threshold must never become a UsTime): such a
+            stats::percentile_select(scratch, config.duration_quantile);
+        // A NaN threshold (no sample) must never become a UsTime: such a
         // signature stays out of performance detection (perf_applicable
         // keeps its false default) while remaining in the flow model.
         if (std::isfinite(threshold)) {
           ss.duration_threshold = static_cast<UsTime>(threshold);
-
-          std::uint64_t above = 0;
-          for (double d : sorted)
-            if (d > threshold) ++above;
+          const auto above = std::count_if(
+              durations.begin(), durations.end(),
+              [&](double d) { return d > threshold; });
           ss.train_perf_outlier_rate =
               static_cast<double>(above) / static_cast<double>(ss.task_count);
-
-          if (config.kfold_k >= 2) {
-            const auto stability = stats::kfold_quantile_stability(
-                group.durations, config.kfold_k, config.duration_quantile,
-                config.unstable_factor);
-            ss.perf_applicable = stability.stable;
-          } else {
-            ss.perf_applicable = true;
-          }
+          ss.perf_applicable =
+              config.kfold_k < 2 ||
+              stats::kfold_quantile_stability(durations, config.kfold_k,
+                                              config.duration_quantile,
+                                              config.unstable_factor, scratch)
+                  .stable;
         }
       }
-      entries.emplace_back(sig, ss);
+      entries.emplace_back(group.signature, ss);
     }
     sm.signatures = SignatureTable(std::move(entries));
     sm.train_flow_outlier_rate =
@@ -151,7 +216,7 @@ OutlierModel OutlierModel::train(std::span<const Synopsis> trace,
                                 static_cast<double>(sm.task_count)
                           : 0.0;
     model.trained_tasks_ += sm.task_count;
-    model.stages_.emplace(stage_id, std::move(sm));
+    model.stages_.emplace(stage.id, std::move(sm));
   }
   return model;
 }

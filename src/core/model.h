@@ -10,12 +10,19 @@
 //  * signatures whose duration distribution cannot support that threshold
 //    (k-fold cross-validated held-out outlier rate > unstable_factor x the
 //    nominal tail) are discarded for performance detection.
+//
+// Training streams: ModelTrainer takes the trace a synopsis or a flat batch
+// at a time (`saad_offline train` feeds it trace blocks), keeps one duration
+// per task (8 bytes) in its (stage, signature) group and nothing else of the
+// synopsis, and finish() takes every percentile by selection. Its memory
+// grows with the number of durations and distinct signatures, not with the
+// trace's encoded size or point lists.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/feature.h"
@@ -109,9 +116,10 @@ struct Classification {
 
 class OutlierModel {
  public:
-  /// Trains from a fault-free trace. Signatures are pooled across hosts:
-  /// the statistical strength comes from comparing the many instances of the
-  /// same stage within and across nodes (paper §2).
+  /// Trains from a fault-free trace: ModelTrainer::add() per synopsis, then
+  /// finish(). Signatures are pooled across hosts: the statistical strength
+  /// comes from comparing the many instances of the same stage within and
+  /// across nodes (paper §2).
   static OutlierModel train(std::span<const Synopsis> trace,
                             const TrainingConfig& config = {});
 
@@ -134,16 +142,59 @@ class OutlierModel {
   // Train once (e.g. from an overnight fault-free trace), deploy many times:
   // the serialized model is a few KB and loads in microseconds.
 
-  /// Appends a self-contained binary encoding of the model to `out`.
+  /// Appends a self-contained binary encoding of the model to `out`. Stages
+  /// go in ascending id, so equal models save to equal bytes whatever order
+  /// training met their stages in.
   void save(std::vector<std::uint8_t>& out) const;
 
   /// Decodes a model produced by save(). nullopt on malformed input.
   static std::optional<OutlierModel> load(std::span<const std::uint8_t> in);
 
  private:
+  friend class ModelTrainer;
+
   TrainingConfig config_;
-  std::unordered_map<StageId, StageModel> stages_;
+  std::map<StageId, StageModel> stages_;  // ascending id: save() order
   std::uint64_t trained_tasks_ = 0;
+};
+
+/// The one training path: accumulates a fault-free trace in stream order and
+/// builds the model from it. Per stage, each synopsis's point list is
+/// interned with SignatureTable's hash probe (a list that is not strictly
+/// ascending is first sorted and deduplicated, as Signature::from does), so
+/// no Signature is built per synopsis, and the task's duration is appended
+/// to its (stage, signature) group. Adding a synopsis whose signature the
+/// trainer already holds allocates only when its group's durations grow.
+class ModelTrainer {
+ public:
+  void add(SynopsisView synopsis);
+  void add(const SynopsisBatch& batch);
+
+  /// The model over everything added. Every order statistic is taken by
+  /// selection over one reused buffer; the thresholds, rates and flags are
+  /// the doubles a full sort per group would give.
+  OutlierModel finish(const TrainingConfig& config = {}) const;
+
+ private:
+  struct Group {
+    Signature signature;
+    std::vector<double> durations;  // in stream order
+  };
+  struct Stage {
+    StageId id = kInvalidStage;
+    std::vector<Group> groups;
+    std::vector<SignatureId> slots;  // power-of-two size; kNoSignature = empty
+  };
+
+  Stage& stage(StageId id);
+  /// The group of the point list of length `n` whose i-th point is `at(i)`,
+  /// which must be strictly ascending; created when new.
+  template <typename PointAt>
+  Group& intern(Stage& stage, std::size_t n, PointAt at);
+
+  std::vector<Stage> stages_;               // in order of first appearance
+  std::vector<std::uint32_t> stage_index_;  // StageId -> stages_ position + 1
+  std::vector<LogPointId> canonical_;       // an unsorted list, sorted
 };
 
 }  // namespace saad::core

@@ -5,7 +5,9 @@
 //   config: flow_share_threshold, duration_quantile, kfold_k,
 //           unstable_factor, min_signature_samples
 //   trained_tasks, num_stages
-//   per stage: stage_id, task_count, train_flow_outlier_rate, num_signatures
+//   per stage (written in ascending stage id, read in any order; of a
+//   repeated stage the first wins):
+//     stage_id, task_count, train_flow_outlier_rate, num_signatures
 //     per signature (written in Signature order, read in any order; of a
 //     repeated signature the first wins):
 //       point count, delta-encoded points, task_count, share,

@@ -36,8 +36,7 @@ double Welford::variance() const {
 double Welford::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  return percentile_sorted(samples, q);
+  return percentile_select(samples, q);
 }
 
 double percentile_sorted(const std::vector<double>& sorted, double q) {
@@ -50,6 +49,22 @@ double percentile_sorted(const std::vector<double>& sorted, double q) {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= sorted.size()) return sorted.back();
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+}
+
+double percentile_select(std::span<double> samples, double q) {
+  // percentile_sorted's arithmetic on the two order statistics it reads:
+  // sorted[lo] is the lo-th smallest, sorted[lo + 1] the smallest after it.
+  if (samples.empty()) return std::numeric_limits<double>::quiet_NaN();
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (lo + 1 >= samples.size())
+    return *std::max_element(samples.begin(), samples.end());
+  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), nth, samples.end());
+  const double next = *std::min_element(nth + 1, samples.end());
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 }  // namespace saad::stats

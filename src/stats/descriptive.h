@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace saad::stats {
@@ -28,8 +29,9 @@ class Welford {
 };
 
 /// Exact percentile of a sample (nearest-rank with linear interpolation).
-/// `q` in [0,1]. Sorts a copy; use percentile_sorted when already sorted.
-/// Empty input returns quiet NaN (see percentile_sorted).
+/// `q` in [0,1]. Selects on a copy (percentile_select); use
+/// percentile_sorted when already sorted. Empty input returns quiet NaN
+/// (see percentile_sorted).
 double percentile(std::vector<double> samples, double q);
 
 /// Same, but requires `sorted` to be ascending. An empty sample has no
@@ -37,5 +39,11 @@ double percentile(std::vector<double> samples, double q);
 /// check std::isnan/std::isfinite rather than receive a silent 0.0 (which a
 /// duration-threshold caller would read as "every task is an outlier").
 double percentile_sorted(const std::vector<double>& sorted, double q);
+
+/// The same percentile by selection instead of a sort: reorders `samples`
+/// in place (nth_element for the lower rank, the minimum of the rest for the
+/// upper one) and returns exactly the double percentile_sorted returns over
+/// a sorted copy, in linear time. Empty input returns quiet NaN.
+double percentile_select(std::span<double> samples, double q);
 
 }  // namespace saad::stats

@@ -6,46 +6,34 @@
 
 namespace saad::stats {
 
-std::vector<std::vector<std::size_t>> kfold_indices(std::size_t n,
-                                                    std::size_t k) {
+FoldRange kfold_range(std::size_t n, std::size_t k, std::size_t f) {
   const std::size_t num_folds = std::max<std::size_t>(k, 1);
-  std::vector<std::vector<std::size_t>> folds(num_folds);
-  for (std::size_t f = 0; f < num_folds; ++f) {
-    const std::size_t begin = f * n / num_folds;
-    const std::size_t end = (f + 1) * n / num_folds;
-    folds[f].reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) folds[f].push_back(i);
-  }
-  return folds;
+  return {f * n / num_folds, (f + 1) * n / num_folds};
 }
 
-KFoldStability kfold_quantile_stability(const std::vector<double>& samples,
+KFoldStability kfold_quantile_stability(std::span<const double> samples,
                                         std::size_t k, double quantile,
-                                        double unstable_factor) {
+                                        double unstable_factor,
+                                        std::vector<double>& scratch) {
   KFoldStability out;
   if (k < 2 || samples.size() < k) {
     out.stable = false;
     out.mean_heldout_outlier_rate = 1.0;
     return out;
   }
-  const auto folds = kfold_indices(samples.size(), k);
   double rate_sum = 0.0;
-  for (std::size_t f = 0; f < folds.size(); ++f) {
-    std::vector<double> train;
-    train.reserve(samples.size());
-    for (std::size_t g = 0; g < folds.size(); ++g) {
-      if (g == f) continue;
-      for (auto idx : folds[g]) train.push_back(samples[idx]);
-    }
-    std::sort(train.begin(), train.end());
-    const double threshold = percentile_sorted(train, quantile);
+  for (std::size_t f = 0; f < k; ++f) {
+    const auto [begin, end] = kfold_range(samples.size(), k, f);
+    // The other folds are everything before and after this one.
+    scratch.assign(samples.begin(), samples.begin() + begin);
+    scratch.insert(scratch.end(), samples.begin() + end, samples.end());
+    const double threshold = percentile_select(scratch, quantile);
     std::size_t above = 0;
-    for (auto idx : folds[f])
-      if (samples[idx] > threshold) ++above;
-    rate_sum +=
-        static_cast<double>(above) / static_cast<double>(folds[f].size());
+    for (std::size_t i = begin; i < end; ++i)
+      if (samples[i] > threshold) ++above;
+    rate_sum += static_cast<double>(above) / static_cast<double>(end - begin);
   }
-  out.mean_heldout_outlier_rate = rate_sum / static_cast<double>(folds.size());
+  out.mean_heldout_outlier_rate = rate_sum / static_cast<double>(k);
   const double nominal = 1.0 - quantile;
   out.stable = out.mean_heldout_outlier_rate <= unstable_factor * nominal;
   return out;

@@ -1,5 +1,6 @@
 #include "stats/special.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -19,6 +20,22 @@ double lgamma_threadsafe(double x) {
 #else
   return std::lgamma(x);
 #endif
+}
+
+/// ln(m!) = lgamma(m + 1). Below kLogFactorials it comes from a table that
+/// the same lgamma_threadsafe call fills once, so it is the very double the
+/// call returns; every window-close test has n far below the bound.
+constexpr std::uint64_t kLogFactorials = 1024;
+
+double log_factorial(std::uint64_t m) {
+  static const auto table = [] {
+    std::array<double, kLogFactorials> t{};
+    for (std::uint64_t i = 0; i < kLogFactorials; ++i)
+      t[i] = lgamma_threadsafe(static_cast<double>(i) + 1.0);
+    return t;
+  }();
+  return m < kLogFactorials ? table[m]
+                            : lgamma_threadsafe(static_cast<double>(m) + 1.0);
 }
 
 /// Continued fraction for the incomplete beta function (modified Lentz).
@@ -98,15 +115,15 @@ double binomial_upper_tail(std::uint64_t k, std::uint64_t n, double p) {
   // Exact: sum pmf from k..n in log space.
   const double log_p = std::log(p);
   const double log_q = std::log1p(-p);
+  const double log_n_factorial = log_factorial(n);
   double tail = 0.0;
   for (std::uint64_t i = k; i <= n; ++i) {
     const double log_pmf =
-        lgamma_threadsafe(static_cast<double>(n) + 1.0) -
-        lgamma_threadsafe(static_cast<double>(i) + 1.0) -
-        lgamma_threadsafe(static_cast<double>(n - i) + 1.0) +
+        log_n_factorial - log_factorial(i) - log_factorial(n - i) +
         static_cast<double>(i) * log_p + static_cast<double>(n - i) * log_q;
-    tail += std::exp(log_pmf);
-    if (std::exp(log_pmf) < 1e-18 && i > k) break;  // negligible remainder
+    const double pmf = std::exp(log_pmf);
+    tail += pmf;
+    if (pmf < 1e-18 && i > k) break;  // negligible remainder
   }
   return std::min(tail, 1.0);
 }

@@ -16,6 +16,8 @@ double student_t_cdf(double t, double df);
 
 /// Upper-tail probability P(X >= k) for X ~ Binomial(n, p).
 /// Exact summation for small n, normal approximation above `n > 100000`.
+/// The exact sum reads ln(i!) from a table for i < 1024 (lgamma above), with
+/// the same bits a direct lgamma call gives.
 double binomial_upper_tail(std::uint64_t k, std::uint64_t n, double p);
 
 }  // namespace saad::stats

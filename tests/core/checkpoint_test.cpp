@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -190,6 +192,59 @@ TEST(CheckpointDir, WriteLoadAndPrune) {
     EXPECT_EQ(std::ifstream(dir.path_for(seq)).good(), expect_present)
         << "seq=" << seq;
   }
+}
+
+TEST(CheckpointDir, RetentionOverTornFilesAndRestartNumbering) {
+  testutil::TempDir tmp;
+  const std::string path = tmp.path("ckpts");
+  // Two torn files and a stale temp file from an earlier run.
+  {
+    CheckpointDir earlier(path);
+    ASSERT_TRUE(earlier.ensure());
+    write_bytes(earlier.path_for(1), {'S', 'A', 'A'});
+    write_bytes(earlier.path_for(2), {});
+    write_bytes(earlier.path_for(50) + ".tmp", {'S'});
+  }
+  CheckpointDir dir(path);
+  ASSERT_TRUE(dir.ensure());
+  EXPECT_EQ(dir.max_sequence(), 2u);
+
+  Checkpoint c = sample_checkpoint();
+  constexpr std::size_t kKeep = 3;
+  for (std::uint64_t seq = dir.max_sequence() + 1; seq <= 9; ++seq) {
+    c.sequence = seq;
+    c.ingested = seq * 10;
+    ASSERT_TRUE(dir.write(c, kKeep));
+    // After every write the directory holds exactly the kKeep newest
+    // checkpoint files (the stale .tmp is no checkpoint and stays).
+    std::vector<std::string> present;
+    for (const auto& entry : std::filesystem::directory_iterator(path))
+      present.push_back(entry.path().filename().string());
+    std::sort(present.begin(), present.end());
+    std::vector<std::string> expected;
+    for (std::uint64_t s = seq + 1 > kKeep ? seq + 1 - kKeep : 1; s <= seq; ++s)
+      expected.push_back(
+          std::filesystem::path(dir.path_for(s)).filename().string());
+    expected.push_back(
+        std::filesystem::path(dir.path_for(50)).filename().string() + ".tmp");
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(present, expected) << "after writing " << seq;
+  }
+  EXPECT_EQ(dir.max_sequence(), 9u);
+
+  // A restart lists the directory again and continues the numbering.
+  CheckpointDir restarted(path);
+  EXPECT_EQ(restarted.max_sequence(), 9u);
+  std::size_t skipped = 0;
+  const auto latest = restarted.load_latest(&skipped);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->sequence, 9u);
+  EXPECT_EQ(latest->ingested, 90u);
+  EXPECT_EQ(skipped, 0u);
+  c.sequence = restarted.max_sequence() + 1;
+  ASSERT_TRUE(restarted.write(c, kKeep));
+  EXPECT_FALSE(std::ifstream(restarted.path_for(7)).good());
+  EXPECT_TRUE(std::ifstream(restarted.path_for(10)).good());
 }
 
 TEST(CheckpointDir, TornNewestFallsBackToPreviousLoudly) {

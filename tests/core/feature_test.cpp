@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_set>
-
 namespace saad::core {
 namespace {
 
@@ -46,15 +44,6 @@ TEST(Signature, Contains) {
 TEST(Signature, ToString) {
   EXPECT_EQ(Signature({2, 1}).to_string(), "{1,2}");
   EXPECT_EQ(Signature().to_string(), "{}");
-}
-
-TEST(Signature, HashConsistentWithEquality) {
-  SignatureHash h;
-  EXPECT_EQ(h(Signature({1, 2, 3})), h(Signature({3, 1, 2})));
-  std::unordered_set<Signature, SignatureHash> set;
-  set.insert(Signature({1, 2}));
-  set.insert(Signature({2, 1}));
-  EXPECT_EQ(set.size(), 1u);
 }
 
 TEST(Signature, Ordering) {

@@ -4,8 +4,10 @@
 // ways a synopsis reaches the analyzer in flight — received bytes through
 // the server's frame reassembly, decode, publish, drain and ingest, and a
 // tracked task through the channel's direct push and drain — must not touch
-// the heap once the buffers and tallies exist. This binary replaces the
-// global operator new to count calls, so it is its own test executable.
+// the heap once the buffers and tallies exist. Training on signatures
+// already seen may allocate only as its duration groups grow. This binary
+// replaces the global operator new to count calls, so it is its own test
+// executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 #include "core/channel.h"
 #include "core/detector.h"
 #include "core/live_analyzer.h"
+#include "core/model.h"
 #include "core/trace_io.h"
 #include "core/tracker.h"
 #include "net/wire.h"
@@ -206,6 +209,42 @@ TEST(HotPathAllocations, DetectorCrossesWindowClosesAfterWarmup) {
   EXPECT_EQ(verdicts, 0u);
   EXPECT_EQ(detector.next_window_to_close(),
             static_cast<std::size_t>(kWarmup + kMeasured - 1));
+}
+
+TEST(HotPathAllocations, TrainerAddOfKnownSignatures) {
+  // 3 stages x 4 signatures; a third of the point lists come unsorted with
+  // a repeat, which takes the trainer's sort-and-dedupe scratch. Once every
+  // signature is interned, add() allocates only when a group's duration
+  // vector grows, a logarithmic number of times.
+  Rng rng(13);
+  SynopsisBatch batch;
+  for (int i = 0; i < 200000; ++i) {
+    const auto stage = static_cast<StageId>(i % 3);
+    const auto base = static_cast<LogPointId>(stage * 10);
+    const auto variant = static_cast<LogPointId>(base + 1 + i / 3 % 4);
+    Synopsis s;
+    s.stage = stage;
+    s.start = static_cast<UsTime>(i) * 10;
+    s.duration = static_cast<UsTime>(rng.lognormal_median(ms(5), 0.3));
+    if (rng.chance(0.33))
+      s.log_points = {{variant, 1}, {base, 2}, {variant, 1}};
+    else
+      s.log_points = {{base, 2}, {variant, 2}};
+    batch.append(s);
+  }
+  SynopsisBatch warmup;
+  for (std::size_t i = 0; i < 64; ++i) warmup.append(batch[i]);
+  ModelTrainer trainer;
+  trainer.add(warmup);
+  const std::uint64_t before = g_allocations.load();
+  trainer.add(batch);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_LT(static_cast<double>(allocations) / static_cast<double>(batch.size()),
+            0.001)
+      << allocations << " allocations";
+  const OutlierModel model = trainer.finish();
+  EXPECT_EQ(model.trained_tasks(), batch.size() + warmup.size());
+  EXPECT_EQ(model.num_stages(), 3u);
 }
 
 TEST(HotPathAllocations, ThreadLocalTaskAfterTheFirst) {

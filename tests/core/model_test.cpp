@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+
 #include "common/rng.h"
+#include "stats/descriptive.h"
+#include "stats/kfold.h"
 
 namespace saad::core {
 namespace {
@@ -198,6 +204,246 @@ TEST(OutlierModel, EmptyTraceYieldsEmptyModel) {
   const OutlierModel model = OutlierModel::train({});
   EXPECT_EQ(model.num_stages(), 0u);
   EXPECT_EQ(model.stage_model(0), nullptr);
+}
+
+// ---- ModelTrainer against the sorting reference ---------------------------
+
+/// What training yields for one stage, keyed by signature.
+struct ReferenceStage {
+  std::uint64_t task_count = 0;
+  double train_flow_outlier_rate = 0.0;
+  std::map<Signature, SignatureStats> signatures;
+};
+
+/// The stability filter with an index vector per fold and a full sort of
+/// every fold's training set.
+stats::KFoldStability reference_kfold(const std::vector<double>& samples,
+                                      std::size_t k, double quantile,
+                                      double unstable_factor) {
+  stats::KFoldStability out;
+  if (k < 2 || samples.size() < k) {
+    out.stable = false;
+    out.mean_heldout_outlier_rate = 1.0;
+    return out;
+  }
+  std::vector<std::vector<std::size_t>> folds(k);
+  for (std::size_t f = 0; f < k; ++f)
+    for (std::size_t i = f * samples.size() / k;
+         i < (f + 1) * samples.size() / k; ++i)
+      folds[f].push_back(i);
+  double rate_sum = 0.0;
+  for (std::size_t f = 0; f < k; ++f) {
+    std::vector<double> train;
+    for (std::size_t g = 0; g < k; ++g)
+      if (g != f)
+        for (auto i : folds[g]) train.push_back(samples[i]);
+    std::sort(train.begin(), train.end());
+    const double threshold = stats::percentile_sorted(train, quantile);
+    std::size_t above = 0;
+    for (auto i : folds[f])
+      if (samples[i] > threshold) ++above;
+    rate_sum +=
+        static_cast<double>(above) / static_cast<double>(folds[f].size());
+  }
+  out.mean_heldout_outlier_rate = rate_sum / static_cast<double>(k);
+  out.stable =
+      out.mean_heldout_outlier_rate <= unstable_factor * (1.0 - quantile);
+  return out;
+}
+
+/// Training by grouping whole Signatures and sorting every group.
+std::map<StageId, ReferenceStage> reference_train(
+    const std::vector<Synopsis>& trace, const TrainingConfig& config) {
+  std::map<StageId, std::map<Signature, std::vector<double>>> groups;
+  for (const auto& s : trace)
+    groups[s.stage][Signature::from(s)].push_back(
+        static_cast<double>(s.duration));
+  std::map<StageId, ReferenceStage> out;
+  for (const auto& [stage, sigs] : groups) {
+    ReferenceStage& rs = out[stage];
+    for (const auto& [sig, durations] : sigs) rs.task_count += durations.size();
+    std::uint64_t flow_outlier_tasks = 0;
+    for (const auto& [sig, durations] : sigs) {
+      SignatureStats ss;
+      ss.task_count = durations.size();
+      ss.share = static_cast<double>(ss.task_count) /
+                 static_cast<double>(rs.task_count);
+      ss.flow_outlier = ss.share < config.flow_share_threshold;
+      if (ss.flow_outlier) flow_outlier_tasks += ss.task_count;
+      if (ss.task_count >= config.min_signature_samples) {
+        std::vector<double> sorted = durations;
+        std::sort(sorted.begin(), sorted.end());
+        const double threshold =
+            stats::percentile_sorted(sorted, config.duration_quantile);
+        ss.duration_threshold = static_cast<UsTime>(threshold);
+        std::uint64_t above = 0;
+        for (double d : sorted)
+          if (d > threshold) ++above;
+        ss.train_perf_outlier_rate =
+            static_cast<double>(above) / static_cast<double>(ss.task_count);
+        ss.perf_applicable =
+            config.kfold_k < 2 ||
+            reference_kfold(durations, config.kfold_k,
+                            config.duration_quantile, config.unstable_factor)
+                .stable;
+      }
+      rs.signatures.emplace(sig, ss);
+    }
+    rs.train_flow_outlier_rate = static_cast<double>(flow_outlier_tasks) /
+                                 static_cast<double>(rs.task_count);
+  }
+  return out;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+void expect_same_model(const OutlierModel& model,
+                       const std::map<StageId, ReferenceStage>& reference) {
+  ASSERT_EQ(model.num_stages(), reference.size());
+  std::uint64_t tasks = 0;
+  for (const auto& [stage, rs] : reference) {
+    SCOPED_TRACE("stage " + std::to_string(stage));
+    const StageModel* sm = model.stage_model(stage);
+    ASSERT_NE(sm, nullptr);
+    EXPECT_EQ(sm->stage, stage);
+    EXPECT_EQ(sm->task_count, rs.task_count);
+    EXPECT_EQ(bits(sm->train_flow_outlier_rate),
+              bits(rs.train_flow_outlier_rate));
+    tasks += rs.task_count;
+    ASSERT_EQ(sm->signatures.size(), rs.signatures.size());
+    auto want = rs.signatures.begin();
+    for (const auto& [sig, got] : sm->signatures) {
+      SCOPED_TRACE("signature " + sig.to_string());
+      ASSERT_EQ(sig, want->first);
+      const SignatureStats& ref = want->second;
+      EXPECT_EQ(got.task_count, ref.task_count);
+      EXPECT_EQ(bits(got.share), bits(ref.share));
+      EXPECT_EQ(got.flow_outlier, ref.flow_outlier);
+      EXPECT_EQ(got.perf_applicable, ref.perf_applicable);
+      EXPECT_EQ(got.duration_threshold, ref.duration_threshold);
+      EXPECT_EQ(bits(got.train_perf_outlier_rate),
+                bits(ref.train_perf_outlier_rate));
+      ++want;
+    }
+  }
+  EXPECT_EQ(model.trained_tasks(), tasks);
+}
+
+/// Four stages of up to twelve signatures each with skewed shares, so some
+/// groups fall below min_signature_samples and some below k. Point lists
+/// come shuffled, with repeats, a third of the time. Durations are
+/// lognormal, coarse (many ties), constant, or shift regime halfway.
+std::vector<Synopsis> trainer_trace(std::uint64_t seed, std::size_t n) {
+  saad::Rng rng(seed);
+  const StageId stages[] = {3, 0, 41, 7};
+  std::vector<Synopsis> trace;
+  trace.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Synopsis s;
+    s.host = static_cast<HostId>(rng.next_below(5));
+    s.stage = stages[rng.next_below(4)];
+    s.uid = i;
+    s.start = static_cast<UsTime>(i) * 100;
+    // Signature v of the stage: share halves with each step of v.
+    std::uint64_t v = 0;
+    while (v < 11 && rng.chance(0.5)) ++v;
+    std::vector<LogPointId> points = {static_cast<LogPointId>(s.stage * 10)};
+    for (std::uint64_t b = 0; b < 4; ++b)
+      if ((v + 1) & (1u << b))
+        points.push_back(static_cast<LogPointId>(s.stage * 10 + 1 + b));
+    if (rng.chance(0.33)) {
+      for (std::size_t j = points.size(); j > 1; --j)
+        std::swap(points[j - 1], points[rng.next_below(j)]);
+      points.push_back(points[rng.next_below(points.size())]);
+    }
+    for (LogPointId p : points)
+      s.log_points.push_back({p, static_cast<std::uint32_t>(1 + rng.next_below(3))});
+    switch (v % 4) {
+      case 0:
+        s.duration = static_cast<UsTime>(rng.lognormal_median(ms(5), 0.3));
+        break;
+      case 1:
+        s.duration = ms(1) * static_cast<UsTime>(1 + rng.next_below(4));
+        break;
+      case 2:
+        s.duration = ms(2);
+        break;
+      default:
+        s.duration = i < n / 2 ? ms(1) : sec(1) + static_cast<UsTime>(i);
+    }
+    trace.push_back(std::move(s));
+  }
+  return trace;
+}
+
+TEST(ModelTrainer, MatchesTheSortingReferenceBitForBit) {
+  std::vector<TrainingConfig> configs(6);
+  configs[1].kfold_k = 0;
+  configs[2].kfold_k = 1;
+  configs[3].min_signature_samples = 1;  // groups smaller than k
+  configs[4].duration_quantile = 1.0;    // the maximum
+  configs[4].min_signature_samples = 3;
+  configs[5].duration_quantile = 0.5;
+  configs[5].kfold_k = 3;
+  configs[5].flow_share_threshold = 0.2;
+  {
+    // The trace covers every branch of training: groups below k, groups
+    // below min_signature_samples, and groups the k-fold filter keeps and
+    // drops.
+    std::size_t below_k = 0, below_min = 0, stable = 0, unstable = 0;
+    for (const auto& [stage, rs] : reference_train(trainer_trace(1, 12000), {}))
+      for (const auto& [sig, ss] : rs.signatures) {
+        below_k += ss.task_count < 5;
+        below_min += ss.task_count >= 5 && ss.task_count < 50;
+        stable += ss.perf_applicable;
+        unstable += ss.task_count >= 50 && !ss.perf_applicable;
+      }
+    EXPECT_GT(below_k, 0u);
+    EXPECT_GT(below_min, 0u);
+    EXPECT_GT(stable, 0u);
+    EXPECT_GT(unstable, 0u);
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto trace = trainer_trace(seed, 12000);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " config " +
+                   std::to_string(c));
+      const auto reference = reference_train(trace, configs[c]);
+      expect_same_model(OutlierModel::train(trace, configs[c]), reference);
+
+      // Fed as flat batches of uneven sizes, the trainer builds the same.
+      ModelTrainer trainer;
+      SynopsisBatch batch;
+      saad::Rng cut(seed);
+      for (std::size_t i = 0; i < trace.size();) {
+        batch.clear();
+        const std::size_t end =
+            std::min(trace.size(), i + 1 + cut.next_below(700));
+        for (; i < end; ++i) batch.append(trace[i]);
+        trainer.add(batch);
+      }
+      expect_same_model(trainer.finish(configs[c]), reference);
+    }
+  }
+}
+
+TEST(OutlierModel, SavedBytesDoNotDependOnStageOrder) {
+  const auto trace = trainer_trace(9, 8000);
+  // The same synopses with the stages met in the opposite order; each
+  // stage's own tasks keep their order, which the k-fold filter reads.
+  std::vector<Synopsis> reordered = trace;
+  std::stable_sort(reordered.begin(), reordered.end(),
+                   [](const Synopsis& a, const Synopsis& b) {
+                     return a.stage > b.stage;
+                   });
+  std::vector<std::uint8_t> a, b, again;
+  OutlierModel::train(trace).save(a);
+  OutlierModel::train(reordered).save(b);
+  EXPECT_EQ(a, b);
+  const auto loaded = OutlierModel::load(a);
+  ASSERT_TRUE(loaded.has_value());
+  loaded->save(again);
+  EXPECT_EQ(again, a);
 }
 
 TEST(SignatureTable, IdsFollowSignatureOrderAndFirstRepeatWins) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace saad::stats {
 namespace {
@@ -111,6 +116,31 @@ TEST(PercentileSorted, EmptyIsNaN) {
 
 TEST(PercentileSorted, SingleElementIsThatElement) {
   EXPECT_DOUBLE_EQ(percentile_sorted({7.0}, 0.99), 7.0);
+}
+
+TEST(PercentileSelect, MatchesSortedCopyBitForBit) {
+  saad::Rng rng(5);
+  for (std::size_t n : {1u, 2u, 3u, 7u, 100u, 101u, 1000u}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<double> samples(n);
+      // Coarse values on odd rounds: many ties.
+      for (auto& x : samples)
+        x = round % 2 ? static_cast<double>(rng.next_below(5))
+                      : rng.lognormal_median(1000, 1.0);
+      std::vector<double> sorted = samples;
+      std::sort(sorted.begin(), sorted.end());
+      for (double q : {0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+        std::vector<double> work = samples;
+        const double selected = percentile_select(work, q);
+        const double expected = percentile_sorted(sorted, q);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(selected),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "n=" << n << " q=" << q;
+      }
+    }
+  }
+  std::vector<double> none;
+  EXPECT_TRUE(std::isnan(percentile_select(none, 0.5)));
 }
 
 }  // namespace

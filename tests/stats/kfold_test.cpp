@@ -7,12 +7,18 @@
 namespace saad::stats {
 namespace {
 
+KFoldStability stability(const std::vector<double>& samples, std::size_t k,
+                         double quantile, double unstable_factor) {
+  std::vector<double> scratch;
+  return kfold_quantile_stability(samples, k, quantile, unstable_factor,
+                                  scratch);
+}
+
 TEST(KFoldIndices, PartitionsAllIndicesExactlyOnce) {
-  const auto folds = kfold_indices(103, 5);
-  ASSERT_EQ(folds.size(), 5u);
   std::vector<bool> seen(103, false);
-  for (const auto& fold : folds) {
-    for (auto idx : fold) {
+  for (std::size_t f = 0; f < 5; ++f) {
+    const auto [begin, end] = kfold_range(103, 5, f);
+    for (auto idx = begin; idx < end; ++idx) {
       ASSERT_LT(idx, 103u);
       ASSERT_FALSE(seen[idx]);
       seen[idx] = true;
@@ -22,14 +28,17 @@ TEST(KFoldIndices, PartitionsAllIndicesExactlyOnce) {
 }
 
 TEST(KFoldIndices, FoldsAreBalanced) {
-  const auto folds = kfold_indices(100, 5);
-  for (const auto& fold : folds) EXPECT_EQ(fold.size(), 20u);
+  for (std::size_t f = 0; f < 5; ++f) {
+    const auto [begin, end] = kfold_range(100, 5, f);
+    EXPECT_EQ(end - begin, 20u);
+  }
 }
 
 TEST(KFoldIndices, ZeroSamples) {
-  const auto folds = kfold_indices(0, 3);
-  ASSERT_EQ(folds.size(), 3u);
-  for (const auto& fold : folds) EXPECT_TRUE(fold.empty());
+  for (std::size_t f = 0; f < 3; ++f) {
+    const auto [begin, end] = kfold_range(0, 3, f);
+    EXPECT_EQ(begin, end);
+  }
 }
 
 TEST(KFoldStability, TightDistributionIsStable) {
@@ -37,7 +46,7 @@ TEST(KFoldStability, TightDistributionIsStable) {
   saad::Rng rng(1);
   std::vector<double> samples(5000);
   for (auto& s : samples) s = rng.lognormal_median(10000, 0.2);
-  const auto result = kfold_quantile_stability(samples, 5, 0.99, 2.0);
+  const auto result = stability(samples, 5, 0.99, 2.0);
   EXPECT_TRUE(result.stable);
   EXPECT_NEAR(result.mean_heldout_outlier_rate, 0.01, 0.01);
 }
@@ -50,7 +59,7 @@ TEST(KFoldStability, NonstationaryRegimeShiftIsUnstable) {
   std::vector<double> samples;
   for (int i = 0; i < 800; ++i) samples.push_back(rng.uniform(1, 2));
   for (int i = 0; i < 200; ++i) samples.push_back(rng.uniform(100, 1000));
-  const auto result = kfold_quantile_stability(samples, 5, 0.99, 2.0);
+  const auto result = stability(samples, 5, 0.99, 2.0);
   EXPECT_FALSE(result.stable);
   EXPECT_GT(result.mean_heldout_outlier_rate, 0.02);
 }
@@ -64,36 +73,37 @@ TEST(KFoldStability, StationaryHeavyTailRemainsStable) {
     samples.push_back(rng.chance(0.15) ? rng.uniform(100, 1000)
                                        : rng.uniform(1, 2));
   }
-  const auto result = kfold_quantile_stability(samples, 5, 0.99, 2.0);
+  const auto result = stability(samples, 5, 0.99, 2.0);
   EXPECT_TRUE(result.stable);
 }
 
 TEST(KFoldIndices, BlocksAreContiguousAndOrdered) {
-  const auto folds = kfold_indices(10, 3);
-  ASSERT_EQ(folds.size(), 3u);
   std::size_t expected = 0;
-  for (const auto& fold : folds) {
-    for (auto idx : fold) EXPECT_EQ(idx, expected++);
+  for (std::size_t f = 0; f < 3; ++f) {
+    const auto [begin, end] = kfold_range(10, 3, f);
+    EXPECT_EQ(begin, expected);
+    EXPECT_GT(end, begin);
+    expected = end;
   }
   EXPECT_EQ(expected, 10u);
 }
 
 TEST(KFoldStability, TooFewSamplesReportedUnstable) {
   const std::vector<double> tiny = {1, 2, 3};
-  const auto result = kfold_quantile_stability(tiny, 5, 0.99, 2.0);
+  const auto result = stability(tiny, 5, 0.99, 2.0);
   EXPECT_FALSE(result.stable);
 }
 
 TEST(KFoldStability, KBelowTwoReportedUnstable) {
   const std::vector<double> samples(100, 1.0);
-  const auto result = kfold_quantile_stability(samples, 1, 0.99, 2.0);
+  const auto result = stability(samples, 1, 0.99, 2.0);
   EXPECT_FALSE(result.stable);
 }
 
 TEST(KFoldStability, ConstantSamplesAreStable) {
   // All durations identical: nothing exceeds the threshold, perfectly stable.
   const std::vector<double> samples(500, 42.0);
-  const auto result = kfold_quantile_stability(samples, 5, 0.99, 2.0);
+  const auto result = stability(samples, 5, 0.99, 2.0);
   EXPECT_TRUE(result.stable);
   EXPECT_EQ(result.mean_heldout_outlier_rate, 0.0);
 }
@@ -104,8 +114,8 @@ TEST_P(UnstableFactorSweep, HigherFactorIsMorePermissive) {
   saad::Rng rng(3);
   std::vector<double> samples;
   for (int i = 0; i < 2000; ++i) samples.push_back(rng.lognormal_median(100, 1.2));
-  const auto strict = kfold_quantile_stability(samples, 5, 0.99, 0.1);
-  const auto at_param = kfold_quantile_stability(samples, 5, 0.99, GetParam());
+  const auto strict = stability(samples, 5, 0.99, 0.1);
+  const auto at_param = stability(samples, 5, 0.99, GetParam());
   // The held-out rate is identical; only the verdict changes with the factor.
   EXPECT_DOUBLE_EQ(strict.mean_heldout_outlier_rate,
                    at_param.mean_heldout_outlier_rate);

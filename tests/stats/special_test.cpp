@@ -2,10 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace saad::stats {
 namespace {
+
+double direct_lgamma(double x) {
+#if defined(__GLIBC__) || defined(__APPLE__)
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+#else
+  return std::lgamma(x);
+#endif
+}
+
+/// The exact binomial tail summed with an lgamma call per factorial, in
+/// binomial_upper_tail's order.
+double direct_upper_tail(std::uint64_t k, std::uint64_t n, double p) {
+  const double log_p = std::log(p);
+  const double log_q = std::log1p(-p);
+  double tail = 0.0;
+  for (std::uint64_t i = k; i <= n; ++i) {
+    const double log_pmf =
+        direct_lgamma(static_cast<double>(n) + 1.0) -
+        direct_lgamma(static_cast<double>(i) + 1.0) -
+        direct_lgamma(static_cast<double>(n - i) + 1.0) +
+        static_cast<double>(i) * log_p + static_cast<double>(n - i) * log_q;
+    tail += std::exp(log_pmf);
+    if (std::exp(log_pmf) < 1e-18 && i > k) break;
+  }
+  return std::min(tail, 1.0);
+}
 
 TEST(IncompleteBeta, BoundaryValues) {
   EXPECT_DOUBLE_EQ(incomplete_beta(2, 3, 0.0), 0.0);
@@ -83,6 +114,29 @@ TEST(BinomialUpperTail, NormalApproxForHugeN) {
   // n > 100000 triggers the approximation; compare with the exact value of
   // a symmetric case: P(X >= n/2) ~ 0.5 for p=0.5.
   EXPECT_NEAR(binomial_upper_tail(100001, 200002, 0.5), 0.5, 0.01);
+}
+
+TEST(BinomialUpperTail, TabledFactorialsMatchDirectLgammaBitForBit) {
+  // Every n up to 64 with every k, then n on both sides of the 1024-entry
+  // table (n - i crosses it while i does not, and both do at n = 2000).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cases;
+  for (std::uint64_t n = 1; n <= 64; ++n)
+    for (std::uint64_t k = 1; k <= n; ++k) cases.emplace_back(k, n);
+  for (std::uint64_t n : {1000u, 1023u, 1024u, 1025u, 1500u, 2000u}) {
+    for (std::uint64_t k = 1; k <= n; k += 13) cases.emplace_back(k, n);
+    cases.emplace_back(n - 1, n);
+    cases.emplace_back(n, n);
+  }
+  for (const double p : {1e-4, 0.01, 0.2, 0.5, 0.97}) {
+    for (const auto& [k, n] : cases) {
+      const double tabled = binomial_upper_tail(k, n, p);
+      const double direct = direct_upper_tail(k, n, p);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(tabled),
+                std::bit_cast<std::uint64_t>(direct))
+          << "k=" << k << " n=" << n << " p=" << p << ": " << tabled
+          << " vs " << direct;
+    }
+  }
 }
 
 }  // namespace

@@ -361,18 +361,19 @@ int cmd_record(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
-  // Stream the file through the recovering reader: a damaged trace trains
-  // on everything recoverable, with the damage reported loudly.
+  // Stream the file block by block through the recovering reader into the
+  // trainer: a damaged trace trains on everything recoverable, with the
+  // damage reported loudly.
   core::TraceReader reader(args.trace);
   if (!reader.ok()) {
     report_unreadable_trace("train", args.trace, reader);
     return 1;
   }
-  std::vector<core::Synopsis> trace;
-  core::Synopsis s;
-  while (reader.next(s)) trace.push_back(std::move(s));
+  core::ModelTrainer trainer;
+  core::SynopsisBatch block;
+  while (reader.next(block)) trainer.add(block);
   warn_trace_damage("train", reader.stats());
-  const auto model = core::OutlierModel::train(trace);
+  const auto model = trainer.finish();
   std::vector<std::uint8_t> bytes;
   model.save(bytes);
   if (args.model.empty() || !write_file(args.model, bytes)) {
