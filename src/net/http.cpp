@@ -1,10 +1,6 @@
 #include "net/http.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -33,6 +29,7 @@ struct HttpMetrics {
   obs::Counter& method_rejects;        // 405
   obs::Counter& not_found;             // 404
   obs::Counter& truncated;             // disconnect mid-request
+  obs::Counter& request_timeouts;      // no complete head within kDeadline
   obs::Counter& bytes_read;
   obs::Counter& bytes_written;
   obs::Gauge& active;
@@ -69,6 +66,10 @@ struct HttpMetrics {
         truncated(obs::MetricsRegistry::global().counter(
             "saad_http_truncated_total",
             "Connections that disconnected mid-request.")),
+        request_timeouts(obs::MetricsRegistry::global().counter(
+            "saad_http_request_timeouts_total",
+            "Admin connections closed because no complete request head "
+            "arrived within 5 s of accept.")),
         bytes_read(obs::MetricsRegistry::global().counter(
             "saad_http_bytes_read_total",
             "Raw bytes received on admin connections.")),
@@ -120,25 +121,13 @@ struct HttpMetrics {
   }
 };
 
-void close_quietly(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool set_blocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) == 0;
-}
+// A scrape gets this long from accept to a complete request head, and each
+// response write as long to make progress.
+constexpr std::chrono::seconds kDeadline{5};
 
 // Full write with EINTR retry; the socket is blocking with SO_SNDTIMEO, so
-// a stalled peer surfaces as EAGAIN after the timeout and we give up.
+// a stalled peer surfaces as EAGAIN after the timeout and we give up, and
+// a peer that hung up as EPIPE (the listener's thread blocks SIGPIPE).
 bool write_fully(int fd, const char* data, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
@@ -151,12 +140,6 @@ bool write_fully(int fd, const char* data, std::size_t n) {
     return false;
   }
   return true;
-}
-
-std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 bool equals_ignore_case(const std::string& a, const char* b) {
@@ -315,101 +298,23 @@ void detail::register_http_metrics() {
     metrics.responses(code);
 }
 
-struct AdminServer::Connection {
-  int fd = -1;
+namespace {
+
+struct Connection final : TcpListener::Connection {
+  explicit Connection(const AdminServer::Options& options)
+      : parser(options.max_request_line, options.max_request_bytes,
+               options.max_headers) {}
   HttpParser parser;
-  std::int64_t accepted_us = 0;
-
-  Connection(std::size_t max_line, std::size_t max_bytes,
-             std::size_t max_headers)
-      : parser(max_line, max_bytes, max_headers) {}
 };
 
-struct AdminServer::Impl {
-  int listen_fd = -1;
-  int wake_rd = -1, wake_wr = -1;  // self-pipe: stop() wakes poll()
-  std::vector<std::unique_ptr<Connection>> connections;
-  std::vector<char> recv_buf;
-};
-
-AdminServer::AdminServer(Options options)
-    : options_(std::move(options)), impl_(std::make_unique<Impl>()) {
-  detail::register_http_metrics();  // families exist even if start() fails
-  impl_->recv_buf.resize(16 * 1024);
-}
-
-AdminServer::~AdminServer() { stop(); }
-
-void AdminServer::route(std::string path, Handler handler) {
-  routes_.emplace_back(std::move(path), std::move(handler));
-}
-
-bool AdminServer::start() {
-  if (running()) return true;
-  Impl& im = *impl_;
-
-  im.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (im.listen_fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(im.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-          1 ||
-      ::bind(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(im.listen_fd, 16) != 0 || !set_nonblocking(im.listen_fd)) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  im.wake_rd = pipe_fds[0];
-  im.wake_wr = pipe_fds[1];
-  set_nonblocking(im.wake_rd);
-
-  stopping_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { io_loop(); });
-  return true;
-}
-
-void AdminServer::stop() {
-  if (!running()) return;
-  stopping_.store(true, std::memory_order_release);
-  const char byte = 0;
-  [[maybe_unused]] const auto n = ::write(impl_->wake_wr, &byte, 1);
-  if (thread_.joinable()) thread_.join();
-  close_quietly(impl_->listen_fd);
-  close_quietly(impl_->wake_rd);
-  close_quietly(impl_->wake_wr);
-  running_.store(false, std::memory_order_release);
-}
-
-void AdminServer::respond(Connection& conn, const HttpResponse& response,
-                          bool head_only) {
+// Writes the response synchronously on the blocking socket, each write
+// bounded by kDeadline: simpler than write-interest plumbing, and a stalled
+// scraper costs at most kDeadline per write before being cut off.
+void respond(const Connection& conn, const HttpResponse& response,
+             bool head_only) {
   auto& metrics = HttpMetrics::get();
-
-  // The response is written synchronously with a bounded send timeout —
-  // simpler than write-interest plumbing, and a stalled scraper costs at
-  // most send_timeout_ms before being cut off.
-  set_blocking(conn.fd);
-  timeval tv{};
-  tv.tv_sec = options_.send_timeout_ms / 1000;
-  tv.tv_usec = (options_.send_timeout_ms % 1000) * 1000;
+  ::fcntl(conn.fd, F_SETFL, ::fcntl(conn.fd, F_GETFL, 0) & ~O_NONBLOCK);
+  const timeval tv{kDeadline.count(), 0};
   ::setsockopt(conn.fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 
   const bool streamed = static_cast<bool>(response.body_writer) && !head_only;
@@ -441,25 +346,45 @@ void AdminServer::respond(Connection& conn, const HttpResponse& response,
   }
   metrics.bytes_written.inc(written);
   metrics.responses(response.status).inc();
-  metrics.request_us.observe(steady_now_us() - conn.accepted_us);
+  metrics.request_us.observe(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - conn.opened)
+          .count());
 }
 
-void AdminServer::io_loop() {
-  Impl& im = *impl_;
-  auto& metrics = HttpMetrics::get();
+}  // namespace
 
-  auto close_connection = [&](std::size_t index, bool count_truncation) {
-    Connection& conn = *im.connections[index];
-    if (count_truncation && conn.parser.started()) metrics.truncated.inc();
-    close_quietly(conn.fd);
-    im.connections.erase(im.connections.begin() +
-                         static_cast<std::ptrdiff_t>(index));
-    metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
-  };
+// The listener's handler: parses one request per connection, answers it.
+struct AdminServer::Impl final : TcpListener::Handler {
+  explicit Impl(AdminServer& owner)
+      : server(owner), metrics(HttpMetrics::get()) {}
+
+  std::unique_ptr<TcpListener::Connection> open() override {
+    return std::make_unique<Connection>(server.options_);
+  }
+
+  bool received(TcpListener::Connection& base,
+                std::span<const std::uint8_t> chunk) override {
+    auto& conn = static_cast<Connection&>(base);
+    metrics.bytes_read.inc(chunk.size());
+    const auto verdict = conn.parser.feed(
+        reinterpret_cast<const char*>(chunk.data()), chunk.size());
+    if (verdict == HttpParser::Status::kNeedMore) return true;
+    serve(conn, verdict);
+    return false;  // one request per connection, no keep-alive
+  }
+
+  void closed(TcpListener::Connection& base, TcpListener::Close why) override {
+    const auto& conn = static_cast<const Connection&>(base);
+    if (why == TcpListener::Close::kExpired)
+      metrics.request_timeouts.inc();
+    else if (why == TcpListener::Close::kTorn && conn.parser.started())
+      metrics.truncated.inc();
+  }
 
   // Maps a parse verdict to the response + exact reject counter, or runs
   // the routed handler on kOk.
-  auto serve_verdict = [&](Connection& conn, HttpParser::Status verdict) {
+  void serve(const Connection& conn, HttpParser::Status verdict) {
     HttpResponse response;
     bool head_only = false;
     switch (verdict) {
@@ -468,9 +393,9 @@ void AdminServer::io_loop() {
         const HttpRequest& request = conn.parser.request();
         head_only = request.method == "HEAD";
         const auto it = std::find_if(
-            routes_.begin(), routes_.end(),
+            server.routes_.begin(), server.routes_.end(),
             [&](const auto& route) { return route.first == request.path; });
-        if (it == routes_.end()) {
+        if (it == server.routes_.end()) {
           metrics.not_found.inc();
           response.status = 404;
           response.body = "not found\n";
@@ -500,85 +425,33 @@ void AdminServer::io_loop() {
         response.body = "only GET and HEAD\n";
         break;
       case HttpParser::Status::kNeedMore:
-        return;  // unreachable: caller filters
+        return;  // unreachable: received() filters
     }
     respond(conn, response, head_only);
-  };
-
-  std::vector<pollfd> fds;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    fds.clear();
-    fds.push_back({im.wake_rd, POLLIN, 0});
-    fds.push_back({im.listen_fd, POLLIN, 0});
-    for (const auto& conn : im.connections)
-      fds.push_back({conn->fd, POLLIN, 0});
-
-    const int rc = ::poll(fds.data(), fds.size(), options_.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) break;
-
-    if (fds[1].revents & POLLIN) {
-      for (;;) {
-        const int fd = ::accept(im.listen_fd, nullptr, nullptr);
-        if (fd < 0) break;
-        if (im.connections.size() >= options_.max_connections) {
-          metrics.connections_rejected.inc();
-          ::close(fd);
-          continue;
-        }
-        set_nonblocking(fd);
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::make_unique<Connection>(options_.max_request_line,
-                                                 options_.max_request_bytes,
-                                                 options_.max_headers);
-        conn->fd = fd;
-        conn->accepted_us = steady_now_us();
-        im.connections.push_back(std::move(conn));
-        metrics.connections.inc();
-        metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
-      }
-    }
-
-    // fds[i + 2] belongs to connections[i] as polled; iterate backwards so
-    // erases cannot shift a not-yet-visited entry.
-    const std::size_t polled = fds.size() - 2;
-    for (std::size_t i = polled; i-- > 0;) {
-      if (i >= im.connections.size()) continue;
-      const short revents = fds[i + 2].revents;
-      if (revents == 0) continue;
-      Connection& conn = *im.connections[i];
-      bool drop = false, truncation = true;
-      for (;;) {
-        const ssize_t n =
-            ::recv(conn.fd, im.recv_buf.data(), im.recv_buf.size(), 0);
-        if (n > 0) {
-          metrics.bytes_read.inc(static_cast<std::uint64_t>(n));
-          const auto verdict =
-              conn.parser.feed(im.recv_buf.data(), static_cast<std::size_t>(n));
-          if (verdict != HttpParser::Status::kNeedMore) {
-            serve_verdict(conn, verdict);
-            drop = true;  // one request per connection, no keep-alive
-            truncation = false;
-            break;
-          }
-          continue;
-        }
-        if (n == 0) {  // peer closed before completing a request
-          drop = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        drop = true;
-        break;
-      }
-      if (drop) close_connection(i, truncation);
-    }
   }
 
-  while (!im.connections.empty())
-    close_connection(im.connections.size() - 1, true);
-  // listen/wake fds stay open here; stop() closes them after the join.
+  AdminServer& server;
+  HttpMetrics& metrics;
+};
+
+AdminServer::AdminServer(Options options)
+    : options_(std::move(options)),
+      impl_(std::make_unique<Impl>(*this)),
+      listener_(*impl_, {impl_->metrics.connections,
+                         impl_->metrics.connections_rejected,
+                         impl_->metrics.active}) {
+  detail::register_http_metrics();  // families exist even if start() fails
+}
+
+AdminServer::~AdminServer() { stop(); }
+
+void AdminServer::route(std::string path, Handler handler) {
+  routes_.emplace_back(std::move(path), std::move(handler));
+}
+
+bool AdminServer::start() {
+  return listener_.start(options_.bind_address, options_.port,
+                         options_.max_connections, kDeadline);
 }
 
 }  // namespace saad::net

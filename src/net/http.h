@@ -12,29 +12,31 @@
 //     rejected with 414/431 and its exact saad_http_* reject counter. Bodies
 //     are never read (a request with a body is rejected as malformed).
 //
-// Concurrency shape: one dedicated poll()-based I/O thread owns the
-// listener and every connection, with a self-pipe so stop() can wake it —
-// the same discipline as SynopsisServer, on its own port so admin traffic
-// can never head-of-line-block synopsis ingestion. Handlers run on that
-// thread; they must only read thread-safe state (the metrics registry
-// snapshot, atomics published by the serving loop). Responses are written
-// with a bounded send timeout, so one stalled scraper can delay — but never
-// wedge — the admin plane.
+// Concurrency shape: the net::TcpListener (net/listener.h) SynopsisServer
+// also runs on, with its own port and I/O thread so admin traffic never
+// head-of-line-blocks ingestion. Handlers run on that thread, which blocks
+// SIGPIPE (a scraper that hangs up costs a failed write, not the process);
+// they must only read thread-safe state (the metrics registry snapshot,
+// atomics published by the serving loop). A connection with no complete
+// request head 5 s after accept is closed, so idle or slow-loris
+// connections hold a slot for at most that long, and each response write
+// gets 5 s to make progress before a stalled reader is cut off.
 //
 // Every reject path has a counter (tests pin the exact attribution):
 // saad_http_parse_rejects_total (400), saad_http_request_line_rejects_total
 // (414), saad_http_header_rejects_total (431), saad_http_method_rejects
 // (405), saad_http_not_found_total (404), saad_http_truncated_total
-// (disconnect mid-request).
+// (disconnect mid-request), saad_http_request_timeouts_total (no complete
+// head within 5 s).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "net/listener.h"
 
 namespace saad::net {
 
@@ -101,10 +103,6 @@ class AdminServer {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = ephemeral; see port()
     std::size_t max_connections = 32;
-    int poll_interval_ms = 50;
-    /// Per-response send timeout (a stalled scraper is cut off, not waited
-    /// on forever).
-    int send_timeout_ms = 5000;
     std::size_t max_request_line = 1024;
     std::size_t max_request_bytes = 8192;
     std::size_t max_headers = 64;
@@ -127,27 +125,20 @@ class AdminServer {
 
   /// Closes the listener and every connection and joins the I/O thread.
   /// Idempotent.
-  void stop();
+  void stop() { listener_.stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
 
   /// Actual bound port (resolves port 0); valid after start().
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
  private:
-  struct Connection;
   struct Impl;
-
-  void io_loop();
-  void respond(Connection& conn, const HttpResponse& response, bool head_only);
 
   Options options_;
   std::vector<std::pair<std::string, Handler>> routes_;
-  std::unique_ptr<Impl> impl_;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::uint16_t port_ = 0;
+  std::unique_ptr<Impl> impl_;  // the listener's handler
+  TcpListener listener_;
 };
 
 namespace detail {

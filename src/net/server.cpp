@@ -1,15 +1,5 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <deque>
 #include <optional>
 #include <vector>
@@ -111,30 +101,28 @@ struct ServerMetrics {
   }
 };
 
-void close_quietly(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
+void bump(std::atomic<std::uint64_t>& stat, obs::Counter& counter,
+          std::uint64_t n = 1) {
+  stat.fetch_add(n, std::memory_order_relaxed);
+  counter.inc(n);
 }
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+// How often publish is retried while the ack watermark holds a batch back.
+constexpr int kPublishRetryMs = 20;
 
-}  // namespace
-
-void detail::register_server_metrics() { ServerMetrics::get(); }
-
-struct SynopsisServer::Connection {
-  int fd = -1;
+struct Connection final : TcpListener::Connection {
   FrameDecoder decoder;  // expects the stream magic
   bool got_hello = false;
   std::uint64_t synopses = 0;  // decoded on this connection
 };
 
-struct SynopsisServer::Impl {
+}  // namespace
+
+void detail::register_server_metrics() { ServerMetrics::get(); }
+
+// The listener's handler: decodes each connection's frames, queues the
+// decoded batches, and publishes them through the one Producer.
+struct SynopsisServer::Impl final : TcpListener::Handler {
   // A decoded batch waiting to be published, with the span token the tracer
   // issued at decode (0 = batch not sampled).
   struct PendingBatch {
@@ -145,86 +133,215 @@ struct SynopsisServer::Impl {
   // of frames reuses their storage; beyond this many they are freed.
   static constexpr std::size_t kSpareBatches = 4;
 
-  int listen_fd = -1;
-  int wake_rd = -1, wake_wr = -1;  // self-pipe: stop() wakes poll()
-  std::vector<std::unique_ptr<Connection>> connections;
+  explicit Impl(SynopsisServer& owner)
+      : server(owner), metrics(ServerMetrics::get()) {}
+
+  std::unique_ptr<TcpListener::Connection> open() override {
+    return std::make_unique<Connection>();
+  }
+
+  bool received(TcpListener::Connection& base,
+                std::span<const std::uint8_t> chunk) override {
+    auto& conn = static_cast<Connection&>(base);
+    bump(bytes, metrics.bytes, chunk.size());
+    if (!conn.decoder.feed(chunk)) {
+      count_reject(conn.decoder.error());
+      return false;
+    }
+    if (!handle_frames(conn)) return false;
+    // Publish as batches decode: a sender that keeps the socket full would
+    // otherwise overflow the pending queue before the listener's recv loop
+    // ever reaches EAGAIN, shedding with the consumer idle.
+    publish_ready();
+    return true;
+  }
+
+  void closed(TcpListener::Connection& base, TcpListener::Close why) override {
+    const auto& conn = static_cast<const Connection&>(base);
+    // A close for decode damage or a goodbye is not a torn disconnect.
+    if (why != TcpListener::Close::kHandled && conn.decoder.mid_frame())
+      bump(truncated, metrics.truncated);
+    if (conn.got_hello) {
+      server.sessions_.fetch_add(1, std::memory_order_relaxed);
+      metrics.sessions.inc();
+    }
+  }
+
+  int round() override {
+    publish_ready();
+    return pending.empty() ? -1 : kPublishRetryMs;
+  }
+
+  // Attributes a wire decode error to its reject family.
+  void count_reject(WireError error) {
+    switch (error) {
+      case WireError::kBadCrc:
+        bump(crc_rejects, metrics.crc_rejects);
+        break;
+      case WireError::kBadMagic:
+        bump(magic_rejects, metrics.magic_rejects);
+        break;
+      case WireError::kBadType:
+      case WireError::kOversized:
+        bump(frame_rejects, metrics.frame_rejects);
+        break;
+      default:
+        bump(payload_rejects, metrics.payload_rejects);
+        break;
+    }
+  }
+
+  // Retires the oldest pending batch, keeping its storage for a decode.
+  void pop_pending() {
+    core::SynopsisBatch& done = pending.front().synopses;
+    if (spare.size() < kSpareBatches) {
+      done.clear();
+      spare.push_back(std::move(done));
+    }
+    pending.pop_front();
+  }
+
+  // Publishes pending batches while under the outstanding watermark. The
+  // Producer is bound to one channel shard, so publish order is FIFO.
+  void publish_ready(bool lift_watermark = false) {
+    const std::uint64_t watermark = server.options_.max_outstanding_synopses;
+    while (!pending.empty()) {
+      const std::uint64_t batch_size = pending.front().synopses.size();
+      if (!lift_watermark && server.outstanding() + batch_size > watermark &&
+          batch_size <= watermark)
+        break;  // wait for acks (oversized-vs-watermark batches pass anyway)
+      // Stamp the publish hop before the first push: once a synopsis is in
+      // the channel the consumer may dequeue it, and the span's publish
+      // timestamp must precede its dequeue timestamp.
+      obs::SpanTracer::global().on_published(
+          pending.front().span_token,
+          server.published_.load(std::memory_order_relaxed) + batch_size);
+      producer->push(pending.front().synopses);
+      pop_pending();
+      server.published_.fetch_add(batch_size, std::memory_order_relaxed);
+      metrics.published.inc(batch_size);
+    }
+    pending_batches.store(pending.size(), std::memory_order_release);
+    metrics.pending.set(static_cast<std::int64_t>(pending.size()));
+  }
+
+  // Queues a decoded batch, shedding the oldest when full.
+  void enqueue_batch(core::SynopsisBatch&& batch, std::uint64_t span_token) {
+    if (batch.empty()) return;
+    while (pending.size() >= server.options_.max_pending_batches) {
+      bump(shed_batches, metrics.shed_batches);
+      bump(shed_synopses, metrics.shed_synopses,
+           pending.front().synopses.size());
+      obs::SpanTracer::global().on_shed(pending.front().span_token);
+      pop_pending();
+    }
+    pending.push_back({std::move(batch), span_token});
+    pending_batches.store(pending.size(), std::memory_order_release);
+  }
+
+  // Handles every completed frame on a connection. Returns false when the
+  // connection must be dropped (protocol violation or goodbye).
+  bool handle_frames(Connection& conn) {
+    while (conn.decoder.next(frame)) {
+      if (!conn.got_hello && frame.type != FrameType::kHello) {
+        count_reject(WireError::kNotHello);
+        return false;
+      }
+      bump(frames, metrics.frames);
+      switch (frame.type) {
+        case FrameType::kHello: {
+          Hello hello;
+          if (!decode_hello(frame.payload, hello)) {
+            count_reject(WireError::kBadPayload);
+            return false;
+          }
+          if (hello.version != kProtocolVersion) {
+            count_reject(WireError::kBadVersion);
+            return false;
+          }
+          conn.got_hello = true;
+          break;
+        }
+        case FrameType::kBatch: {
+          core::SynopsisBatch batch;
+          if (!spare.empty()) {
+            batch.swap(spare.back());
+            spare.pop_back();
+          }
+          if (!decode_batch(frame.payload, batch)) {
+            count_reject(WireError::kBadPayload);
+            return false;
+          }
+          bump(batches, metrics.batches);
+          bump(synopses, metrics.synopses, batch.size());
+          conn.synopses += batch.size();
+          const std::uint64_t span_token =
+              obs::SpanTracer::global().on_batch_decoded(batch.size());
+          enqueue_batch(std::move(batch), span_token);
+          break;
+        }
+        case FrameType::kHeartbeat:
+          bump(heartbeats, metrics.heartbeats);
+          break;
+        case FrameType::kGoodbye: {
+          std::uint64_t claimed = 0;
+          if (!decode_goodbye(frame.payload, claimed)) {
+            count_reject(WireError::kBadPayload);
+            return false;
+          }
+          bump(goodbyes, metrics.goodbyes);
+          if (claimed != conn.synopses)
+            bump(goodbye_mismatches, metrics.goodbye_mismatches);
+          return false;  // clean end of session
+        }
+      }
+    }
+    return true;
+  }
+
+  SynopsisServer& server;
+  ServerMetrics& metrics;
   std::deque<PendingBatch> pending;  // decoded, unpublished
   std::vector<core::SynopsisBatch> spare;  // cleared, at most kSpareBatches
-  std::vector<std::uint8_t> recv_buf;
   Frame frame;  // every connection pops its frames into this one
   std::optional<core::SynopsisChannel::Producer> producer;
 
   // stats() is cross-thread; the I/O thread updates these relaxed.
-  std::atomic<std::uint64_t> connections_total{0}, connections_rejected{0},
-      frames{0}, batches{0}, synopses{0}, bytes{0}, heartbeats{0}, goodbyes{0},
-      goodbye_mismatches{0}, crc_rejects{0}, magic_rejects{0}, frame_rejects{0},
-      payload_rejects{0}, truncated{0}, shed_batches{0}, shed_synopses{0};
+  std::atomic<std::uint64_t> frames{0}, batches{0}, synopses{0}, bytes{0},
+      heartbeats{0}, goodbyes{0}, goodbye_mismatches{0}, crc_rejects{0},
+      magic_rejects{0}, frame_rejects{0}, payload_rejects{0}, truncated{0},
+      shed_batches{0}, shed_synopses{0};
   std::atomic<std::size_t> pending_batches{0};
 };
 
 SynopsisServer::SynopsisServer(core::SynopsisChannel* channel, Options options)
     : channel_(channel),
       options_(std::move(options)),
-      impl_(std::make_unique<Impl>()) {
-  ServerMetrics::get();  // register families even if start() never runs
-  impl_->recv_buf.resize(64 * 1024);
-}
+      impl_(std::make_unique<Impl>(*this)),
+      listener_(*impl_, {impl_->metrics.connections,
+                         impl_->metrics.connections_rejected,
+                         impl_->metrics.active}) {}
 
 SynopsisServer::~SynopsisServer() { stop(); }
 
 bool SynopsisServer::start() {
   if (running()) return true;
-  Impl& im = *impl_;
-
-  im.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (im.listen_fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(im.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1 ||
-      ::bind(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(im.listen_fd, 64) != 0 || !set_nonblocking(im.listen_fd)) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  socklen_t len = sizeof addr;
-  if (::getsockname(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    close_quietly(im.listen_fd);
-    return false;
-  }
-  im.wake_rd = pipe_fds[0];
-  im.wake_wr = pipe_fds[1];
-  set_nonblocking(im.wake_rd);
-
-  im.producer.emplace(channel_->producer());
-  stopping_.store(false, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { io_loop(); });
-  return true;
+  impl_->producer.emplace(channel_->producer());
+  if (listener_.start(options_.bind_address, options_.port,
+                      options_.max_connections))
+    return true;
+  impl_->producer.reset();
+  return false;
 }
 
 void SynopsisServer::stop() {
   if (!running()) return;
-  stopping_.store(true, std::memory_order_release);
-  const char byte = 0;
-  [[maybe_unused]] const auto n = ::write(impl_->wake_wr, &byte, 1);
-  if (thread_.joinable()) thread_.join();
-  // The fds are closed here, not in io_loop(): a concurrent stop() caller
-  // reads wake_wr, so only the thread that joined may invalidate them.
-  close_quietly(impl_->listen_fd);
-  close_quietly(impl_->wake_rd);
-  close_quietly(impl_->wake_wr);
-  running_.store(false, std::memory_order_release);
+  listener_.stop();  // closes every connection, counting truncations
+  // Then publish what was already decoded, past the watermark, so no
+  // accepted data is stranded invisibly between the wire and the channel.
+  impl_->publish_ready(/*lift_watermark=*/true);
+  impl_->producer->flush();
+  impl_->producer.reset();
 }
 
 void SynopsisServer::ack(std::uint64_t n) {
@@ -238,9 +355,8 @@ bool SynopsisServer::drained() const {
 SynopsisServer::Stats SynopsisServer::stats() const {
   const Impl& im = *impl_;
   Stats s;
-  s.connections = im.connections_total.load(std::memory_order_relaxed);
-  s.connections_rejected =
-      im.connections_rejected.load(std::memory_order_relaxed);
+  s.connections = listener_.accepted();
+  s.connections_rejected = listener_.rejected();
   s.sessions = sessions_.load(std::memory_order_relaxed);
   s.frames = im.frames.load(std::memory_order_relaxed);
   s.batches = im.batches.load(std::memory_order_relaxed);
@@ -258,253 +374,6 @@ SynopsisServer::Stats SynopsisServer::stats() const {
   s.shed_batches = im.shed_batches.load(std::memory_order_relaxed);
   s.shed_synopses = im.shed_synopses.load(std::memory_order_relaxed);
   return s;
-}
-
-void SynopsisServer::io_loop() {
-  Impl& im = *impl_;
-  auto& metrics = ServerMetrics::get();
-
-  auto bump = [](std::atomic<std::uint64_t>& stat, obs::Counter& counter,
-                 std::uint64_t n = 1) {
-    stat.fetch_add(n, std::memory_order_relaxed);
-    counter.inc(n);
-  };
-
-  // Closes a connection and attributes the end to the right counters.
-  auto close_connection = [&](std::size_t index, bool count_truncation) {
-    Connection& conn = *im.connections[index];
-    if (count_truncation && conn.decoder.mid_frame())
-      bump(im.truncated, metrics.truncated);
-    if (conn.got_hello) {
-      sessions_.fetch_add(1, std::memory_order_relaxed);
-      metrics.sessions.inc();
-    }
-    close_quietly(conn.fd);
-    im.connections.erase(im.connections.begin() +
-                         static_cast<std::ptrdiff_t>(index));
-    active_.store(im.connections.size(), std::memory_order_relaxed);
-    metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
-  };
-
-  // Attributes a wire decode error to its reject family.
-  auto count_reject = [&](WireError error) {
-    switch (error) {
-      case WireError::kBadCrc:
-        bump(im.crc_rejects, metrics.crc_rejects);
-        break;
-      case WireError::kBadMagic:
-        bump(im.magic_rejects, metrics.magic_rejects);
-        break;
-      case WireError::kBadType:
-      case WireError::kOversized:
-        bump(im.frame_rejects, metrics.frame_rejects);
-        break;
-      default:
-        bump(im.payload_rejects, metrics.payload_rejects);
-        break;
-    }
-  };
-
-  // Retires the oldest pending batch, keeping its storage for a decode.
-  auto pop_pending = [&] {
-    core::SynopsisBatch& done = im.pending.front().synopses;
-    if (im.spare.size() < Impl::kSpareBatches) {
-      done.clear();
-      im.spare.push_back(std::move(done));
-    }
-    im.pending.pop_front();
-  };
-
-  // Publishes pending batches while under the outstanding watermark. The
-  // Producer is bound to one channel shard, so publish order is FIFO.
-  auto publish_ready = [&] {
-    while (!im.pending.empty()) {
-      const std::uint64_t batch_size = im.pending.front().synopses.size();
-      if (outstanding() + batch_size > options_.max_outstanding_synopses &&
-          batch_size <= options_.max_outstanding_synopses)
-        break;  // wait for acks (oversized-vs-watermark batches pass anyway)
-      // Stamp the publish hop before the first push: once a synopsis is in
-      // the channel the consumer may dequeue it, and the span's publish
-      // timestamp must precede its dequeue timestamp.
-      obs::SpanTracer::global().on_published(
-          im.pending.front().span_token,
-          published_.load(std::memory_order_relaxed) + batch_size);
-      im.producer->push(im.pending.front().synopses);
-      pop_pending();
-      published_.fetch_add(batch_size, std::memory_order_relaxed);
-      metrics.published.inc(batch_size);
-    }
-    im.pending_batches.store(im.pending.size(), std::memory_order_release);
-    metrics.pending.set(static_cast<std::int64_t>(im.pending.size()));
-  };
-
-  // Queues a decoded batch, shedding the oldest when full.
-  auto enqueue_batch = [&](core::SynopsisBatch&& batch,
-                           std::uint64_t span_token) {
-    if (batch.empty()) return;
-    while (im.pending.size() >= options_.max_pending_batches) {
-      bump(im.shed_batches, metrics.shed_batches);
-      bump(im.shed_synopses, metrics.shed_synopses,
-           im.pending.front().synopses.size());
-      obs::SpanTracer::global().on_shed(im.pending.front().span_token);
-      pop_pending();
-    }
-    im.pending.push_back({std::move(batch), span_token});
-    im.pending_batches.store(im.pending.size(), std::memory_order_release);
-  };
-
-  // Handles every completed frame on a connection. Returns false when the
-  // connection must be dropped (protocol violation or goodbye).
-  auto handle_frames = [&](Connection& conn) -> bool {
-    Frame& frame = im.frame;
-    while (conn.decoder.next(frame)) {
-      if (!conn.got_hello && frame.type != FrameType::kHello) {
-        count_reject(WireError::kNotHello);
-        return false;
-      }
-      bump(im.frames, metrics.frames);
-      switch (frame.type) {
-        case FrameType::kHello: {
-          Hello hello;
-          if (!decode_hello(frame.payload, hello)) {
-            count_reject(WireError::kBadPayload);
-            return false;
-          }
-          if (hello.version != kProtocolVersion) {
-            count_reject(WireError::kBadVersion);
-            return false;
-          }
-          conn.got_hello = true;
-          break;
-        }
-        case FrameType::kBatch: {
-          core::SynopsisBatch batch;
-          if (!im.spare.empty()) {
-            batch.swap(im.spare.back());
-            im.spare.pop_back();
-          }
-          if (!decode_batch(frame.payload, batch)) {
-            count_reject(WireError::kBadPayload);
-            return false;
-          }
-          bump(im.batches, metrics.batches);
-          bump(im.synopses, metrics.synopses, batch.size());
-          conn.synopses += batch.size();
-          const std::uint64_t span_token =
-              obs::SpanTracer::global().on_batch_decoded(batch.size());
-          enqueue_batch(std::move(batch), span_token);
-          break;
-        }
-        case FrameType::kHeartbeat:
-          bump(im.heartbeats, metrics.heartbeats);
-          break;
-        case FrameType::kGoodbye: {
-          std::uint64_t claimed = 0;
-          if (!decode_goodbye(frame.payload, claimed)) {
-            count_reject(WireError::kBadPayload);
-            return false;
-          }
-          bump(im.goodbyes, metrics.goodbyes);
-          if (claimed != conn.synopses)
-            bump(im.goodbye_mismatches, metrics.goodbye_mismatches);
-          return false;  // clean end of session
-        }
-      }
-    }
-    return true;
-  };
-
-  std::vector<pollfd> fds;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    fds.clear();
-    fds.push_back({im.wake_rd, POLLIN, 0});
-    fds.push_back({im.listen_fd, POLLIN, 0});
-    for (const auto& conn : im.connections)
-      fds.push_back({conn->fd, POLLIN, 0});
-
-    const int rc = ::poll(fds.data(), fds.size(), options_.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) break;
-
-    // Accept new connections (drain the backlog).
-    if (fds[1].revents & POLLIN) {
-      for (;;) {
-        const int fd = ::accept(im.listen_fd, nullptr, nullptr);
-        if (fd < 0) break;
-        if (im.connections.size() >= options_.max_connections) {
-          bump(im.connections_rejected, metrics.connections_rejected);
-          ::close(fd);
-          continue;
-        }
-        set_nonblocking(fd);
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::make_unique<Connection>();
-        conn->fd = fd;
-        im.connections.push_back(std::move(conn));
-        bump(im.connections_total, metrics.connections);
-        active_.store(im.connections.size(), std::memory_order_relaxed);
-        metrics.active.set(static_cast<std::int64_t>(im.connections.size()));
-      }
-    }
-
-    // Service readable connections. fds[i + 2] belongs to connections[i] as
-    // polled; iterate backwards so close_connection()'s erase cannot shift
-    // a not-yet-visited entry.
-    const std::size_t polled = fds.size() - 2;
-    for (std::size_t i = polled; i-- > 0;) {
-      if (i >= im.connections.size()) continue;  // closed by accept path? no — safety
-      const short revents = fds[i + 2].revents;
-      if (revents == 0) continue;
-      Connection& conn = *im.connections[i];
-      bool drop = false, truncation = true;
-      for (;;) {
-        const ssize_t n =
-            ::recv(conn.fd, im.recv_buf.data(), im.recv_buf.size(), 0);
-        if (n > 0) {
-          bump(im.bytes, metrics.bytes, static_cast<std::uint64_t>(n));
-          if (!conn.decoder.feed(
-                  std::span(im.recv_buf.data(), static_cast<std::size_t>(n)))) {
-            count_reject(conn.decoder.error());
-            drop = true;
-            truncation = false;  // decode damage, not a torn disconnect
-            break;
-          }
-          if (!handle_frames(conn)) {
-            drop = true;
-            truncation = false;
-            break;
-          }
-          // Publish as batches decode: a sender that keeps the socket full
-          // would otherwise overflow the pending queue before this loop
-          // ever reaches EAGAIN, shedding with the consumer idle.
-          publish_ready();
-          continue;
-        }
-        if (n == 0) {  // peer closed
-          drop = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        drop = true;  // hard socket error
-        break;
-      }
-      if (drop) close_connection(i, truncation);
-    }
-
-    publish_ready();
-  }
-
-  // Shutdown: close everything, then publish what was already decoded so no
-  // accepted data is stranded invisibly between the wire and the channel.
-  while (!im.connections.empty())
-    close_connection(im.connections.size() - 1, true);
-  options_.max_outstanding_synopses = UINT64_MAX;
-  publish_ready();
-  im.producer->flush();
-  im.producer.reset();
-  // listen/wake fds stay open here; stop() closes them after the join so a
-  // concurrent stop() can still write its wake byte into a live pipe.
 }
 
 }  // namespace saad::net

@@ -5,8 +5,9 @@
 // core::SynopsisChannel, from which the analyzer loop drains exactly as it
 // would from in-process trackers.
 //
-// Concurrency shape: one poll()-based I/O thread owns the listener, every
-// connection, and the channel Producer handle; the analyzer (consumer)
+// Concurrency shape: a net::TcpListener (net/listener.h) owns the socket,
+// every connection and the I/O thread; this server adds each connection's
+// frame decoder and the one channel Producer. The analyzer (consumer)
 // thread only drains the channel and calls ack(). No per-connection threads
 // — the paper's deployment expects many lightweight senders per analyzer.
 //
@@ -30,8 +31,9 @@
 //     freshest data wins, and the I/O thread never blocks on a slow
 //     analyzer;
 //   * batches are published only while published-minus-acked stays under
-//     max_outstanding_synopses, so a stalled consumer shows up as sheds
-//     here instead of unbounded channel growth.
+//     max_outstanding_synopses (a held-back batch is retried every 20 ms),
+//     so a stalled consumer shows up as sheds here instead of unbounded
+//     channel growth.
 //
 // Damage policy: any wire decode error poisons that connection — it is
 // closed and the matching saad_net_* reject counter is bumped; other
@@ -43,9 +45,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/channel.h"
+#include "net/listener.h"
 #include "net/wire.h"
 
 namespace saad::net {
@@ -62,9 +64,6 @@ class SynopsisServer {
     /// High watermark on synopses published into the channel but not yet
     /// ack()ed by the consumer.
     std::uint64_t max_outstanding_synopses = 1 << 20;
-    /// poll() timeout; also the cadence at which publish retries after the
-    /// consumer acks below the watermark.
-    int poll_interval_ms = 20;
   };
 
   /// Monotonic since start(); every field also feeds a saad_net_* family.
@@ -104,18 +103,16 @@ class SynopsisServer {
   /// batches, and joins the I/O thread. Idempotent.
   void stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
 
   /// Actual bound port (resolves port 0); valid after start().
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Consumer-side flow control: report `n` synopses drained out of the
   /// channel, freeing watermark room for further publishes.
   void ack(std::uint64_t n);
 
-  std::size_t active_connections() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  std::size_t active_connections() const { return listener_.active(); }
 
   /// Connections that completed the hello and have since ended (goodbye or
   /// disconnect). `serve --once` exits when this goes positive and the
@@ -137,23 +134,15 @@ class SynopsisServer {
   Stats stats() const;
 
  private:
-  struct Connection;
   struct Impl;
-
-  void io_loop();
 
   core::SynopsisChannel* channel_;
   Options options_;
-  std::unique_ptr<Impl> impl_;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::uint16_t port_ = 0;
-
-  std::atomic<std::size_t> active_{0};
   std::atomic<std::uint64_t> sessions_{0};
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> acked_{0};
+  std::unique_ptr<Impl> impl_;  // the listener's handler
+  TcpListener listener_;
 };
 
 }  // namespace saad::net

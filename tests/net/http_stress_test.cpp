@@ -54,7 +54,6 @@ std::string http_exchange(std::uint16_t port, const std::string& request) {
 
 TEST(AdminServerStress, ConcurrentScrapersSeeConsistentResponses) {
   AdminServer::Options options;
-  options.poll_interval_ms = 5;
   options.max_connections = 64;
   AdminServer server{options};
   std::atomic<std::uint64_t> pipeline_progress{0};
@@ -128,7 +127,6 @@ TEST(AdminServerStress, ConcurrentScrapersSeeConsistentResponses) {
 
 TEST(AdminServerStress, ScrapersDuringStopAreCutOffCleanly) {
   AdminServer::Options options;
-  options.poll_interval_ms = 5;
   AdminServer server{options};
   server.route("/ping", [](const HttpRequest&) {
     HttpResponse response;

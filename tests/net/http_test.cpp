@@ -7,10 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -198,7 +200,6 @@ class AdminServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     AdminServer::Options options;
-    options.poll_interval_ms = 10;
     options.max_request_line = 128;
     options.max_request_bytes = 512;
     options.max_headers = 8;
@@ -353,7 +354,6 @@ TEST_F(AdminServerTest, DisconnectMidRequestCountsTruncated) {
 
 TEST(AdminServer, StopIsIdempotentAndRestartable) {
   AdminServer::Options options;
-  options.poll_interval_ms = 10;
   AdminServer server{options};
   server.route("/ping", [](const HttpRequest&) {
     HttpResponse response;
@@ -375,7 +375,6 @@ TEST(AdminServer, StopIsIdempotentAndRestartable) {
 
 TEST(AdminServer, StartFailsOnOccupiedPort) {
   AdminServer::Options options;
-  options.poll_interval_ms = 10;
   AdminServer first{options};
   ASSERT_TRUE(first.start());
   AdminServer::Options clash = options;
@@ -383,6 +382,150 @@ TEST(AdminServer, StartFailsOnOccupiedPort) {
   AdminServer second{clash};
   EXPECT_FALSE(second.start());
   first.stop();
+}
+
+// Connects, sends `request` and hangs up without reading the response.
+void hang_up_after(std::uint16_t port, const std::string& request) {
+  const int fd = connect_to(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  ::close(fd);
+}
+
+// A scraper that hangs up leaves the server writing to a reset socket. The
+// write must fail, not raise SIGPIPE and kill the process, whether the
+// server writes the body itself or a body_writer does.
+TEST(AdminServer, ScrapersThatHangUpDoNotKillTheProcess) {
+  AdminServer server;
+  server.route("/big", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body.assign(300 * 1024, 'x');
+    return response;
+  });
+  server.route("/chunks", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body_writer = [](int fd) {
+      const std::string chunk(512, 'y');
+      for (int i = 0; i < 1000; ++i) {
+        [[maybe_unused]] const auto n = ::write(fd, chunk.data(), chunk.size());
+      }
+    };
+    return response;
+  });
+  server.route("/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong\n";
+    return response;
+  });
+  ASSERT_TRUE(server.start());
+  for (int i = 0; i < 50; ++i) {
+    hang_up_after(server.port(), "GET /big HTTP/1.1\r\n\r\n");
+    hang_up_after(server.port(), "GET /chunks HTTP/1.1\r\n\r\n");
+  }
+  // The hang-ups arrive faster than they are served, so the first tries may
+  // find every connection slot taken and be refused.
+  std::string response;
+  for (int i = 0; i < 50; ++i) {
+    response = http_exchange(server.port(), "GET /ping HTTP/1.1\r\n\r\n");
+    if (!response.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  EXPECT_TRUE(server.running());
+  server.stop();
+}
+
+// Connections that never finish a request head give their slots back at
+// the 5 s deadline, so max_connections of them lock scrapers out for at
+// most that long; each such close is counted.
+TEST(AdminServer, IdleConnectionsExpireAndFreeTheirSlots) {
+  AdminServer::Options options;
+  options.max_connections = 4;
+  AdminServer server{options};
+  server.route("/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong\n";
+    return response;
+  });
+  ASSERT_TRUE(server.start());
+  const auto timeouts_before =
+      HttpCounters::value("saad_http_request_timeouts_total");
+  const auto truncated_before = HttpCounters::snap().truncated;
+
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < options.max_connections; ++i) {
+    idle.push_back(connect_to(server.port()));
+    ASSERT_GE(idle.back(), 0);
+  }
+  // One of them is a slow loris: a started head that never completes.
+  const char partial[] = "GET /ping HT";
+  ASSERT_EQ(::send(idle[0], partial, sizeof(partial) - 1, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(partial) - 1));
+
+  const auto started = std::chrono::steady_clock::now();
+  std::string response;
+  while (std::chrono::steady_clock::now() - started < std::chrono::seconds(7)) {
+    response = http_exchange(server.port(), "GET /ping HTTP/1.1\r\n\r\n");
+    if (response.rfind("HTTP/1.1 200 OK\r\n", 0) == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u)
+      << "no scrape got through within the deadline plus 2 s";
+  for (const int fd : idle) ::close(fd);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(HttpCounters::value("saad_http_request_timeouts_total"),
+              timeouts_before + options.max_connections);
+    EXPECT_EQ(HttpCounters::snap().truncated, truncated_before);
+  }
+  server.stop();
+}
+
+// Past max_connections the listener accepts and closes at once, counts the
+// refusal, and the connections already open are still served.
+TEST(AdminServer, ConnectionPastMaxConnectionsIsRefusedAndCounted) {
+  AdminServer::Options options;
+  options.max_connections = 2;
+  AdminServer server{options};
+  server.route("/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "pong\n";
+    return response;
+  });
+  ASSERT_TRUE(server.start());
+  const auto rejected_before =
+      HttpCounters::value("saad_http_connections_rejected_total");
+
+  const int first = connect_to(server.port());
+  const int second = connect_to(server.port());
+  const int refused = connect_to(server.port());
+  ASSERT_GE(first, 0);
+  ASSERT_GE(second, 0);
+  ASSERT_GE(refused, 0);
+  timeval tv{5, 0};
+  ::setsockopt(refused, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  char byte = 0;
+  const ssize_t n = ::recv(refused, &byte, 1, 0);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET))
+      << "refused connection stayed open";
+  ::close(refused);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(HttpCounters::value("saad_http_connections_rejected_total"),
+              rejected_before + 1);
+  }
+
+  for (const int fd : {first, second}) {
+    const std::string request = "GET /ping HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::string response;
+    char buf[256];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;)
+      response.append(buf, static_cast<std::size_t>(n));
+    ::close(fd);
+    EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << response;
+  }
+  server.stop();
 }
 
 }  // namespace
