@@ -246,12 +246,13 @@ void AnomalyDetector::ingest(SynopsisView synopsis) {
 std::vector<Anomaly> AnomalyDetector::advance_to(UsTime now) {
   std::vector<Anomaly> out;
   last_window_ = nullptr;
+  // Every window below now / window has ended, opened or not.
+  next_window_to_close_ = std::max(
+      next_window_to_close_,
+      static_cast<std::size_t>(std::max<UsTime>(now, 0) / config_.window));
   auto it = open_windows_.begin();
-  for (; it != open_windows_.end() &&
-         static_cast<UsTime>(it->index + 1) * config_.window <= now;
-       ++it) {
+  for (; it != open_windows_.end() && it->index < next_window_to_close_; ++it) {
     close_window(it->index, it->slots, out);
-    next_window_to_close_ = it->index + 1;
     for (StageWindowStats& stats : it->slots) stats.open = false;
     spare_windows_.push_back(std::move(it->slots));
   }

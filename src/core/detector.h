@@ -71,14 +71,14 @@ class AnomalyDetector {
 
   /// Buckets the synopsis into its window (by task start time). Synopses may
   /// arrive out of order within open windows; one whose window already
-  /// closed is counted in the oldest open window instead. Once a window
-  /// holds a key's signature, ingesting it again allocates nothing.
+  /// closed counts in next_window_to_close() instead. Once a window holds a
+  /// key's signature, ingesting it again allocates nothing.
   void ingest(SynopsisView synopsis);
 
-  /// Closes every window that ends at or before `now` and returns its
-  /// anomalies. A closed window's slots wait for the next window to open, so
-  /// once the stream's keys and signatures have been seen, a close that
-  /// raises no verdict allocates nothing.
+  /// Closes every window that ends at or before `now`, opened or not, and
+  /// returns the anomalies. A closed window's slots wait for the next window
+  /// to open, so once the stream's keys and signatures have been seen, a
+  /// close that raises no verdict allocates nothing.
   std::vector<Anomaly> advance_to(UsTime now);
 
   /// Closes all remaining windows and frees the waiting slots.
@@ -86,7 +86,8 @@ class AnomalyDetector {
 
   const DetectorConfig& config() const { return config_; }
   std::uint64_t ingested() const { return ingested_; }
-  /// Index of the oldest window a future synopsis can still land in.
+  /// Index of the oldest window a future synopsis can still land in; every
+  /// window below it has closed, and it never moves back.
   std::size_t next_window_to_close() const { return next_window_to_close_; }
   /// (window index, synopses it holds) for each open window, ascending.
   std::vector<std::pair<std::size_t, std::uint64_t>> open_window_synopses()

@@ -83,13 +83,13 @@ const char* LiveAnalyzer::resume(const Checkpoint& c) {
   if (!detector_->restore_state(c.analyzer))
     return "checkpoint analyzer state is malformed";
   verdicts_ = c.anomalies;
-  // Windows below the restored cursor closed before the checkpoint; the
-  // open ones' tallies count the synopses their [stats] lines report.
-  next_window_ = detector_->next_window_to_close();
-  close_at_ = close_watermark(next_window_, options_.config.window);
-  if (options_.stats != nullptr)
-    for (const auto& [w, synopses] : detector_->open_window_synopses())
-      window_counts_[w].synopses = synopses;
+  // Windows below the restored cursor closed, and printed their [stats]
+  // lines, before the checkpoint.
+  const std::size_t closed = detector_->next_window_to_close();
+  close_at_ = close_watermark(closed, options_.config.window);
+  status_.watermark_us.store(static_cast<UsTime>(closed) *
+                                 options_.config.window,
+                             std::memory_order_relaxed);
   if constexpr (obs::kMetricsEnabled)
     AnalyzerMetrics::get().model_epoch.set(
         static_cast<std::int64_t>(c.model_epoch));
@@ -109,11 +109,6 @@ void LiveAnalyzer::ingest(const SynopsisBatch& batch) {
   for (const SynopsisView s : batch) {
     detector_->ingest(s);
     watermark_ = std::max(watermark_, s.start + s.duration);
-    if (options_.stats != nullptr) {
-      const auto w = static_cast<std::size_t>(std::max<UsTime>(s.start, 0) /
-                                              options_.config.window);
-      ++window_counts_[std::max(w, next_window_)].synopses;
-    }
     if (watermark_ >= close_at_) checkpoint_due |= close_ready_windows();
   }
   if (options_.tracer != nullptr) options_.tracer->on_assigned(consumed_);
@@ -128,13 +123,9 @@ void LiveAnalyzer::ingest(std::span<const Synopsis> batch) {
 }
 
 bool LiveAnalyzer::close_ready_windows() {
-  const UsTime window = options_.config.window;
-  const UsTime safe = watermark_ > 2 * window ? watermark_ - 2 * window : 0;
-  if (static_cast<UsTime>(next_window_ + 1) * window > safe) return false;
-  absorb(detector_->advance_to(safe));
-  for (; static_cast<UsTime>(next_window_ + 1) * window <= safe; ++next_window_)
-    if (options_.stats != nullptr) print_window(next_window_);
-  close_at_ = close_watermark(next_window_, window);
+  // The watermark reached close_at_, so at least one window closes.
+  const UsTime safe = watermark_ - 2 * options_.config.window;
+  close_windows(safe);
   status_.watermark_us.store(safe, std::memory_order_relaxed);
   const std::uint64_t closes =
       status_.close_barriers.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -142,16 +133,17 @@ bool LiveAnalyzer::close_ready_windows() {
          closes % options_.checkpoint_every == 0;
 }
 
-void LiveAnalyzer::finish() {
-  absorb(detector_->finish());
-  if (options_.stats == nullptr) return;
-  std::size_t last = next_window_;
-  if (!window_counts_.empty())
-    last = std::max(last, window_counts_.rbegin()->first);
-  for (; next_window_ <= last; ++next_window_) print_window(next_window_);
-}
+void LiveAnalyzer::finish() { close_windows(std::nullopt); }
 
-void LiveAnalyzer::absorb(std::vector<Anomaly> closed) {
+void LiveAnalyzer::close_windows(std::optional<UsTime> now) {
+  const UsTime window = options_.config.window;
+  const std::size_t from = detector_->next_window_to_close();
+  std::vector<std::pair<std::size_t, std::uint64_t>> held;
+  if (options_.stats != nullptr) held = detector_->open_window_synopses();
+  std::vector<Anomaly> closed =
+      now ? detector_->advance_to(*now) : detector_->finish();
+  const std::size_t to = detector_->next_window_to_close();
+  close_at_ = close_watermark(to, window);
   if (staged_model_ != nullptr) {  // a window boundary: the swap applies
     detector_->rebind_model(staged_model_.get());  // reads the old model
     model_ = std::move(staged_model_);
@@ -169,28 +161,31 @@ void LiveAnalyzer::absorb(std::vector<Anomaly> closed) {
         static_cast<unsigned long long>(epoch));
   }
   if (options_.tracer != nullptr) options_.tracer->on_window_close(consumed_);
-  for (const Anomaly& a : closed) {
-    if (options_.stats == nullptr) break;
-    auto& counts = window_counts_[a.window];
-    ++(a.kind == AnomalyKind::kFlow ? counts.flow : counts.perf);
-  }
+  const std::size_t first = verdicts_.size();
   verdicts_.insert(verdicts_.end(), std::make_move_iterator(closed.begin()),
                    std::make_move_iterator(closed.end()));
   if (options_.tracer != nullptr) options_.tracer->on_verdict_emit(consumed_);
   status_.verdicts.store(verdicts_.size(), std::memory_order_relaxed);
-}
+  if (options_.stats == nullptr) return;
 
-void LiveAnalyzer::print_window(std::size_t w) {
-  const WindowCounts counts = window_counts_[w];
-  window_counts_.erase(w);
-  const UsTime window = options_.config.window;
-  std::fprintf(options_.stats,
-               "[stats] window %3zu [%5.1f, %5.1f min): %6zu synopses, "
-               "%zu anomalies (%zu flow, %zu performance)\n",
-               w, to_min(static_cast<UsTime>(w) * window),
-               to_min(static_cast<UsTime>(w + 1) * window), counts.synopses,
-               counts.flow + counts.perf, counts.flow, counts.perf);
-  std::fflush(options_.stats);
+  // One line per window the cursor passed; a finish() with no window open
+  // still prints the cursor's.
+  const std::size_t last = now ? to : std::max(to, from + 1);
+  auto h = held.begin();
+  auto v = verdicts_.begin() + static_cast<std::ptrdiff_t>(first);
+  for (std::size_t w = from; w < last; ++w) {
+    std::size_t synopses = 0, flow = 0, perf = 0;
+    if (h != held.end() && h->first == w) synopses = (h++)->second;
+    for (; v != verdicts_.end() && v->window == w; ++v)
+      ++(v->kind == AnomalyKind::kFlow ? flow : perf);
+    std::fprintf(options_.stats,
+                 "[stats] window %3zu [%5.1f, %5.1f min): %6zu synopses, "
+                 "%zu anomalies (%zu flow, %zu performance)\n",
+                 w, to_min(static_cast<UsTime>(w) * window),
+                 to_min(static_cast<UsTime>(w + 1) * window), synopses,
+                 flow + perf, flow, perf);
+    std::fflush(options_.stats);
+  }
 }
 
 const OutlierModel* LiveAnalyzer::stage_model(

@@ -20,6 +20,11 @@
 // `serve` a channel drain at a time, and both close windows exactly where
 // one-at-a-time ingestion would.
 //
+// The detector is the one record of which windows have closed and what they
+// held: its cursor, which passes windows no synopsis opened too, sets the
+// next close point and its tallies the `[stats]` lines, and both ride in the
+// checkpoint, so a resumed engine prints no `[stats]` line twice.
+//
 // The rule assumes a stream in end-time order, up to ordinary lateness: a
 // trace file, or the server's channel, which one Producer fills in arrival
 // order. A drain of several producer threads' shards is not one: it hands
@@ -33,8 +38,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -123,11 +128,12 @@ class LiveAnalyzer {
  private:
   /// Closes what the watermark has passed; true if a checkpoint fell due.
   bool close_ready_windows();
-  /// Applies a staged model, then takes a close's verdicts.
-  void absorb(std::vector<Anomaly> closed);
+  /// Closes the windows that end by `now` (none given: all of them), applies
+  /// a staged model, takes the verdicts, and prints a `[stats]` line for each
+  /// window the detector's cursor passed, from its tallies before the close.
+  void close_windows(std::optional<UsTime> now);
   /// capture() into `c`, reusing its buffers.
   void capture_into(Checkpoint& c) const;
-  void print_window(std::size_t w);
 
   Options options_;
   std::unique_ptr<OutlierModel> model_;
@@ -141,11 +147,8 @@ class LiveAnalyzer {
   Checkpoint checkpoint_;       // what checkpoint() writes
   std::uint64_t consumed_ = 0;  // synopses ingested by this engine
   std::uint64_t next_sequence_ = 1;
-  UsTime watermark_ = 0;         // newest synopsis end time
-  std::size_t next_window_ = 0;  // oldest window not yet closed
-  UsTime close_at_ = 0;          // the watermark that closes next_window_
-  struct WindowCounts { std::size_t synopses = 0, flow = 0, perf = 0; };
-  std::map<std::size_t, WindowCounts> window_counts_;  // for [stats]
+  UsTime watermark_ = 0;  // newest synopsis end time
+  UsTime close_at_ = 0;   // closes the detector's next_window_to_close()
   LiveStatus status_;
 };
 

@@ -154,6 +154,20 @@ TEST_F(DetectorFixture, LateSynopsisLandsInOldestOpenWindow) {
   EXPECT_EQ(anomalies[0].window, 1u);
 }
 
+TEST_F(DetectorFixture, AdvanceToPassesWindowsNoSynopsisOpened) {
+  AnomalyDetector det(&model);
+  EXPECT_TRUE(det.advance_to(minutes(5) + sec(30)).empty());
+  EXPECT_EQ(det.next_window_to_close(), 5u);
+  EXPECT_TRUE(det.advance_to(minutes(2)).empty());  // never moves back
+  EXPECT_EQ(det.next_window_to_close(), 5u);
+  // Window 1 ended with nothing in it, so a task that started there is late.
+  det.ingest(make_synopsis(0, {1, 2}, minutes(1) + ms(5), ms(100)));
+  const auto anomalies = det.advance_to(minutes(6));
+  ASSERT_EQ(anomalies.size(), 1u);
+  EXPECT_EQ(anomalies[0].window, 5u);
+  EXPECT_EQ(det.next_window_to_close(), 6u);
+}
+
 TEST_F(DetectorFixture, DisablingNewSignatureRule) {
   DetectorConfig config;
   config.new_signature_is_anomaly = false;

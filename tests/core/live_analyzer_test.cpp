@@ -15,6 +15,9 @@
 //  * the close rule runs after every synopsis, so a synopsis that arrives
 //    more than two windows late lands in the same window whether the stream
 //    comes one synopsis, 64 or all at once per ingest() call;
+//  * a close passes windows no synopsis opened, so a synopsis late for one
+//    lands in the oldest open window, its verdict shows in that window's
+//    `[stats]` line, and a resumed engine prints no `[stats]` line twice;
 //  * next_close_at() is the end time whose ingest closes the next window,
 //    on a fresh engine and after a resume (serve waits on it).
 #include "core/live_analyzer.h"
@@ -111,6 +114,7 @@ TEST_F(LiveAnalyzerTest, ResumeFromMidStreamCaptureMatchesUninterruptedRun) {
   while (i < stream.size() / 2) i = ingest_through_close(*golden, i);
   const std::size_t cut = i;
   const std::uint64_t closes_at_cut = golden->status().close_barriers.load();
+  const std::int64_t watermark_at_cut = golden->status().watermark_us.load();
   const Checkpoint mid = golden->capture();
   ASSERT_FALSE(mid.anomalies.empty());  // verdicts ride in the checkpoint
   for (; i < stream.size(); i += kBatch) golden->ingest(batch(i));
@@ -126,6 +130,9 @@ TEST_F(LiveAnalyzerTest, ResumeFromMidStreamCaptureMatchesUninterruptedRun) {
   EXPECT_EQ(resumed->ingested(), cut);
   EXPECT_EQ(resumed->status().ingested.load(), cut);
   EXPECT_EQ(resumed->status().verdicts.load(), mid.anomalies.size());
+  EXPECT_GT(resumed->status().watermark_us.load(), 0);  // /readyz, /statusz
+  EXPECT_EQ(resumed->status().watermark_us.load() / sec(1),
+            watermark_at_cut / sec(1));
   for (i = cut; i < stream.size(); i += kBatch) resumed->ingest(batch(i));
   EXPECT_EQ(encode(resumed->capture()), golden_open);  // open windows too
   EXPECT_EQ(resumed->status().close_barriers.load(),  // same close points
@@ -311,6 +318,61 @@ TEST_F(LiveAnalyzerTest, VerdictsDoNotDependOnBatchBoundaries) {
   EXPECT_EQ(dump(verdicts_in_batches_of(kBatch)), dump(one_at_a_time));
   EXPECT_EQ(dump(verdicts_in_batches_of(late_stream.size())),
             dump(one_at_a_time));
+}
+
+TEST_F(LiveAnalyzerTest, LateSynopsisCannotReopenAWindowNoSynopsisOpened) {
+  // At 1 s windows: A opens window 0, and B's end closes windows 0-2, of
+  // which only 0 held a synopsis. C started in window 1 but ends at 5.7 s
+  // with a point no model knows, and D's end closes window 3.
+  const auto synopsis = [](UsTime start, UsTime end, LogPointId point) {
+    Synopsis s;
+    s.stage = 3;
+    s.start = start;
+    s.duration = end - start;
+    s.log_points = {{24, 1}, {point, 1}};
+    return s;
+  };
+  const std::vector<Synopsis> probe = {
+      synopsis(ms(100), ms(102), 25), synopsis(ms(5500), ms(5502), 25),
+      synopsis(ms(1500), ms(5700), 999), synopsis(ms(6500), ms(6502), 25)};
+  auto& late = obs::MetricsRegistry::global().counter(
+      "saad_detector_late_reattributed_total", "");
+  const std::uint64_t late_before = late.value();
+  auto engine = make_engine(model_a);
+  engine->ingest(std::span(probe).first(2));
+  const Checkpoint after_b = engine->capture();
+  const std::int64_t watermark_after_b = engine->status().watermark_us.load();
+  const long printed_after_b = std::ftell(stats);
+  engine->ingest(std::span(probe).subspan(2));
+  engine->finish();
+
+  ASSERT_EQ(engine->verdicts().size(), 1u);
+  EXPECT_TRUE(engine->verdicts()[0].due_to_new_signature);
+  EXPECT_EQ(engine->verdicts()[0].window, 3u);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(late.value(), late_before + 1);
+  }
+  const std::string lines = read_from(stats, 0);
+  std::size_t anomalies = 0;
+  for (std::size_t at = 0; (at = lines.find("synopses, ", at)) != lines.npos;)
+    anomalies += std::stoul(lines.substr(at += 10));
+  EXPECT_EQ(anomalies, engine->verdicts().size());
+  EXPECT_NE(lines.find("window   3 [  0.1,   0.1 min):      1 synopses, 1 "
+                       "anomalies (1 flow, 0 performance)"),
+            lines.npos)
+      << lines;
+
+  // A restart from the capture after B closes where the first run left off.
+  std::FILE* resumed_stats = std::tmpfile();
+  auto resumed = make_engine(model_a, resumed_stats);
+  ASSERT_EQ(resumed->resume(after_b), nullptr);
+  EXPECT_EQ(resumed->status().watermark_us.load() / sec(1),
+            watermark_after_b / sec(1));
+  resumed->ingest(std::span(probe).subspan(2));
+  resumed->finish();
+  EXPECT_EQ(read_from(resumed_stats, 0), read_from(stats, printed_after_b));
+  EXPECT_EQ(dump(resumed->verdicts()), dump(engine->verdicts()));
+  std::fclose(resumed_stats);
 }
 
 TEST_F(LiveAnalyzerTest, NextCloseAtIsTheEndThatClosesTheNextWindow) {

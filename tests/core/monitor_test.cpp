@@ -390,6 +390,32 @@ TEST_F(MonitorFixture, InterleavedProducerThreadsStayInTheirWindows) {
         << "window " << w;
 }
 
+TEST_F(MonitorFixture, LateTaskCountsInTheCursorWindowPastEmptyOnes) {
+  Monitor monitor(&registry, &clock);
+  monitor.set_model(train(1000));
+  DetectorConfig config;
+  config.window = sec(1);
+  monitor.arm(config);
+  auto& late = obs::MetricsRegistry::global().counter(
+      "saad_detector_late_reattributed_total", "");
+  const std::uint64_t late_before = late.value();
+
+  // The poll at 3.5 s closes window 0 and passes windows 1 and 2, which no
+  // task opened; a task that started in window 1 then counts in window 3.
+  clock.set(ms(100));
+  run_task(monitor, false, ms(2));
+  EXPECT_TRUE(monitor.poll(ms(3500)).empty());
+  clock.set(ms(1500));
+  run_task(monitor, true, ms(4200));  // the rare flow: a new signature
+  const auto verdicts = monitor.poll(ms(4500));
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_TRUE(verdicts[0].due_to_new_signature);
+  EXPECT_EQ(verdicts[0].window, 3u);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(late.value(), late_before + 1);
+  }
+}
+
 TEST_F(MonitorFixture, VerdictsMatchLiveAnalyzerOnARecordedStream) {
   const OutlierModel model = train(4000);
   DetectorConfig config;

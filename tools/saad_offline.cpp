@@ -924,7 +924,7 @@ int cmd_info(const Args& args) {
   core::Synopsis s;
   std::size_t count = 0;
   while (reader.next(s)) {
-    if (s.start < first || first == 0) first = s.start;
+    if (count == 0 || s.start < first) first = s.start;
     last = std::max(last, s.start + s.duration);
     bytes += core::encoded_size(s);
     per_stage[s.stage]++;
